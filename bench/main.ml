@@ -19,16 +19,6 @@
                                                variant that fails if an
                                                allocation budget is
                                                exceeded)
-          dune exec bench/main.exe -- regress  (benchmark-regression gate:
-                                               sweep every workload and
-                                               diff the summaries against
-                                               test/baseline_sweep_
-                                               summaries.json — override
-                                               with --baseline FILE and the
-                                               fail threshold with
-                                               --tolerance PCT; exits
-                                               non-zero on any field past
-                                               the fail tolerance)
           dune exec bench/main.exe -- replay   (trace-store benchmark:
                                                capture real workloads, then
                                                time replaying the trace
@@ -37,25 +27,18 @@
                                                add --smoke for the CI
                                                variant that fails if replay
                                                is not >= 5x faster)
-          dune exec bench/main.exe -- sched    (scheduler benchmark: a
-                                               deliberately skewed task mix
-                                               under static round-robin
-                                               sharding vs the work-stealing
-                                               queue — wall-clock and
-                                               worker-idle fraction — plus
+          dune exec bench/main.exe -- sched    (scheduler benchmark:
                                                record-sharded parallel trace
                                                decode vs one core; --smoke
                                                is the CI variant gating the
-                                               stealing and decode speedups)
-          dune exec bench/main.exe -- handoff  (zero-copy handoff benchmark:
-                                               mapped in-place decode vs the
-                                               buffered-channel reader, and
-                                               adaptive LPT/coalesced frame
-                                               dispatch over a shared mapping
-                                               vs FIFO handout with per-task
+                                               decode speedup)
+          dune exec bench/main.exe -- handoff  (handoff benchmark: adaptive
+                                               LPT/coalesced frame dispatch
+                                               over a shared mapping vs FIFO
+                                               handout with per-task
                                                container opens on a skewed
                                                record mix; --smoke is the CI
-                                               variant gating both ratios)
+                                               variant gating the ratio)
           dune exec bench/main.exe -- serve    (serve benchmark: repeated
                                                replay requests against the
                                                resident jrpm daemon's warm
@@ -862,68 +845,22 @@ let replay_bench ~smoke () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Benchmark-regression gate (`bench -- regress`): sweep the whole
-   registry and diff the Report_summary records against the checked-in
-   baseline. The same gate as `jrpm sweep --baseline`, packaged for CI
-   and for a quick local "did my change move any benchmark?" check. *)
+(* Scheduler benchmark (`bench -- sched`): does record-sharded
+   parallel decode beat the one-core decoder?
 
-let regress ~jobs ?tolerance ~baseline () =
-  section
-    (Printf.sprintf "Benchmark-regression gate (baseline: %s)" baseline);
-  let base =
-    try Jrpm.Regression.load_baseline baseline
-    with Failure msg ->
-      Printf.eprintf
-        "bench regress: %s\n\
-         (generate it with `jrpm sweep --jobs 1 --baseline %s \
-         --update-baseline`)\n"
-        msg baseline;
-      exit 1
-  in
-  let outcomes = Jrpm.Parallel_sweep.run ~jobs ~observe:false () in
-  let current =
-    List.map
-      (fun (o : Jrpm.Parallel_sweep.outcome) -> o.Jrpm.Parallel_sweep.summary)
-      outcomes
-  in
-  let d = Jrpm.Regression.diff ?tolerance ~baseline:base ~current () in
-  print_string (Jrpm.Regression.render d);
-  if Jrpm.Regression.failed d then begin
-    prerr_endline "bench regress: benchmark regression past tolerance";
-    exit 1
-  end
+   A replicated capture container is replayed through the null sink
+   sequentially (one reader pass, the single-core decode path) and
+   record-sharded across 4 decoder workers; the relative speedup is
+   gated only when the machine actually has >= 4 cores, so the smoke
+   gate stays meaningful on small CI runners while the absolute
+   events/s numbers land in the table either way. *)
 
-(* ------------------------------------------------------------------ *)
-(* Scheduler benchmark (`bench -- sched`): what does the work-stealing
-   task queue buy over static round-robin sharding, and does
-   record-sharded parallel decode beat the one-core decoder?
-
-   Part 1 builds a deliberately skewed synthetic mix where every
-   jobs-th task is ~16x heavier than the rest: static round-robin
-   deals ALL the heavy tasks to worker 0, which grinds through them
-   back to back while the other workers sit idle, whereas the
-   stealing queue hands each heavy task to whichever worker frees up
-   first. The tasks block (sleep) rather than spin, so the
-   measurement isolates the scheduling policy — queueing and load
-   imbalance — from CPU throughput and holds on any core count,
-   including 1-core CI runners. Wall-clock and the worker-idle
-   fraction are reported for both policies and the speedup is gated
-   (>= sched_speedup_floor).
-
-   Part 2 replays a replicated capture container through the null
-   sink sequentially (one reader pass, the old single-core decode
-   path) and record-sharded across 4 decoder workers; the relative
-   speedup is gated only when the machine actually has >= 4 cores, so
-   the smoke gate stays meaningful on small CI runners while the
-   absolute events/s numbers land in the table either way. *)
-
-let sched_speedup_floor = 1.3
 let sched_decode_floor = 1.4
 
 let sched_bench ~smoke () =
   section
-    (if smoke then "Scheduler benchmark (smoke: stealing + decode floors)"
-     else "Scheduler benchmark (work stealing vs round-robin)");
+    (if smoke then "Scheduler benchmark (smoke: decode floor)"
+     else "Scheduler benchmark (record-sharded parallel decode)");
   if not Jrpm.Scheduler.fork_available then begin
     print_endline "fork unavailable on this platform; nothing to measure";
     exit 0
@@ -940,73 +877,6 @@ let sched_bench ~smoke () =
     !best
   in
   let failed = ref false in
-
-  (* -------- part 1: skewed synthetic mix -------- *)
-  let jobs = 4 in
-  let ntasks = 16 in
-  let heavy_s = if smoke then 0.04 else 0.1 in
-  let light_s = heavy_s /. 16. in
-  let tasks =
-    List.init ntasks (fun i -> if i mod jobs = 0 then heavy_s else light_s)
-  in
-  (* blocking tasks: the policy difference shows up as queueing delay
-     regardless of how many cores the machine has *)
-  let run_task _ s =
-    Unix.sleepf s;
-    int_of_float (s *. 1e6)
-  in
-  let label _ _ = "synthetic task" in
-  let best_stats run =
-    let best = ref None in
-    for _ = 1 to repeats do
-      let r, (s : Jrpm.Scheduler.stats) = run () in
-      match !best with
-      | Some (_, (b : Jrpm.Scheduler.stats)) when b.wall_s <= s.wall_s -> ()
-      | _ -> best := Some (r, s)
-    done;
-    match !best with Some b -> b | None -> assert false
-  in
-  let rr_results, rr =
-    best_stats (fun () ->
-        Jrpm.Scheduler.map_sharded_stats ~jobs ~label run_task tasks)
-  in
-  let ws_results, ws =
-    best_stats (fun () -> Jrpm.Scheduler.map_stats ~jobs ~label run_task tasks)
-  in
-  if rr_results <> ws_results then begin
-    failed := true;
-    prerr_endline "sched bench: stealing results differ from round-robin"
-  end;
-  let speedup = rr.Jrpm.Scheduler.wall_s /. ws.Jrpm.Scheduler.wall_s in
-  let ok = speedup >= sched_speedup_floor in
-  if not ok then failed := true;
-  Printf.printf
-    "\n%d tasks on %d workers; every %dth task ~16x heavier (%.0f ms vs %.1f \
-     ms)\n\n"
-    ntasks jobs jobs (heavy_s *. 1e3) (light_s *. 1e3);
-  Util.Text_table.print
-    ~aligns:Util.Text_table.[ Left; Right; Right; Right; Right; Left ]
-    ~header:[ "policy"; "wall s"; "busy s"; "idle"; "speedup"; "status" ]
-    [
-      [
-        "static round-robin";
-        Printf.sprintf "%.3f" rr.Jrpm.Scheduler.wall_s;
-        Printf.sprintf "%.3f" rr.Jrpm.Scheduler.busy_s;
-        Printf.sprintf "%.0f%%" (100. *. Jrpm.Scheduler.idle_fraction rr);
-        "1.0x";
-        "";
-      ];
-      [
-        "work stealing";
-        Printf.sprintf "%.3f" ws.Jrpm.Scheduler.wall_s;
-        Printf.sprintf "%.3f" ws.Jrpm.Scheduler.busy_s;
-        Printf.sprintf "%.0f%%" (100. *. Jrpm.Scheduler.idle_fraction ws);
-        Printf.sprintf "%.1fx" speedup;
-        (if ok then "ok" else "UNDER FLOOR");
-      ];
-    ];
-
-  (* -------- part 2: record-sharded parallel decode -------- *)
   let names =
     if smoke then [ "BitOps"; "fft" ]
     else [ "BitOps"; "Huffman"; "compress"; "fft"; "NeuralNet" ]
@@ -1098,42 +968,32 @@ let sched_bench ~smoke () =
     ];
   if !failed then begin
     prerr_endline
-      (Printf.sprintf
-         "sched bench: below a floor (stealing >= %.1fx, decode >= %.1fx on \
-          >=4 cores)"
-         sched_speedup_floor sched_decode_floor);
+      (Printf.sprintf "sched bench: below the %.1fx decode floor (>=4 cores)"
+         sched_decode_floor);
     exit 1
   end
 
 (* ------------------------------------------------------------------ *)
-(* Zero-copy handoff benchmark: the mapped read path against the
-   buffered-channel baseline, and adaptive frame dispatch against FIFO
-   singleton handout.
+(* Zero-copy handoff benchmark (`bench -- handoff`): adaptive frame
+   dispatch over a shared mapping against FIFO singleton handout with
+   per-task container opens.
 
-   Part 1 decodes the same on-disk container through both reader
-   backends, single-threaded. The mapped path decodes varints in place
-   from the shared pages — no per-chunk payload copy, no per-event
-   allocation — so its throughput is gated to be at least the channel
-   path's (>= handoff_mapped_floor) on any machine.
-
-   Part 2 builds a deliberately skewed container: a long run of tiny
-   records first and one giant record (several times the tiny total)
-   LAST. FIFO singleton handout with per-task container opens — the
-   pre-mapping parallel decode path — dispatches the giant record at
-   the tail, serializing it after the pool has drained the tiny ones;
-   the adaptive plan weighs records by the index's event counts, so the
-   giant dispatches first and alone while the tiny records coalesce
-   into a few frames. The wall-clock ratio is gated
+   The container is deliberately skewed: a long run of tiny records
+   first and one giant record (several times the tiny total) LAST. FIFO
+   singleton handout with a container open per task dispatches the
+   giant record at the tail, serializing it after the pool has drained
+   the tiny ones; the adaptive plan weighs records by the index's event
+   counts, so the giant dispatches first and alone while the tiny
+   records coalesce into a few frames. The wall-clock ratio is gated
    (>= handoff_parallel_floor) only on machines with >= 4 cores, like
    the sched decode gate. *)
 
-let handoff_mapped_floor = 1.0
 let handoff_parallel_floor = 1.2
 
 let handoff_bench ~smoke () =
   section
-    (if smoke then "Handoff benchmark (smoke: mapped + adaptive floors)"
-     else "Handoff benchmark (zero-copy mapped read + adaptive granularity)");
+    (if smoke then "Handoff benchmark (smoke: adaptive floor)"
+     else "Handoff benchmark (adaptive granularity over a shared mapping)");
   if not Jrpm.Scheduler.fork_available then begin
     print_endline "fork unavailable on this platform; nothing to measure";
     exit 0
@@ -1184,77 +1044,18 @@ let handoff_bench ~smoke () =
         "\n%d records (%dx %s + 1x %s last), %d events, %d bytes on disk\n\n"
         (List.length entries) tiny_copies tiny_name giant_name total_events
         (String.length container);
-
-      (* -------- part 1: mapped vs channel sequential decode -------- *)
-      let drain rd =
-        let events = ref 0 in
-        let rec loop () =
-          match Trace_store.Reader.next_record rd with
-          | None -> ()
-          | Some _ ->
-              events :=
-                !events
-                + (Trace_store.Reader.replay rd Hydra.Trace.null_sink)
-                    .Trace_store.Reader.events;
-              loop ()
-        in
-        loop ();
-        Trace_store.Reader.close rd;
-        if !events <> total_events then begin
-          failed := true;
-          Printf.eprintf "handoff bench: decoded %d events, index says %d\n"
-            !events total_events
-        end
-      in
-      let channel_s =
-        time_min (fun () -> drain (Trace_store.Reader.open_file path))
-      in
-      let mapped_s =
-        time_min (fun () -> drain (Trace_store.Reader.open_mapped path))
-      in
-      let channel_evps = float_of_int total_events /. channel_s in
-      let mapped_evps = float_of_int total_events /. mapped_s in
-      let mapped_ratio = mapped_evps /. channel_evps in
-      let mapped_ok = mapped_ratio >= handoff_mapped_floor in
-      if not mapped_ok then failed := true;
-      Util.Text_table.print
-        ~aligns:Util.Text_table.[ Left; Right; Right; Right; Left ]
-        ~header:[ "decode backend"; "wall s"; "events/s"; "speedup"; "status" ]
-        [
-          [
-            "buffered channel";
-            Printf.sprintf "%.3f" channel_s;
-            Printf.sprintf "%.1fM" (channel_evps /. 1e6);
-            "1.0x";
-            "";
-          ];
-          [
-            "mapped (in place)";
-            Printf.sprintf "%.3f" mapped_s;
-            Printf.sprintf "%.1fM" (mapped_evps /. 1e6);
-            Printf.sprintf "%.2fx" mapped_ratio;
-            (if mapped_ok then "ok" else "UNDER FLOOR");
-          ];
-        ];
-
-      (* -------- part 2: adaptive mapped fan-out vs FIFO + per-task
-         container opens -------- *)
       let jobs = 4 in
       let label _ (e : Trace_store.Index.entry) =
         "record " ^ e.Trace_store.Index.name
       in
-      let decode_channel _ (e : Trace_store.Index.entry) =
-        (* the pre-mapping task body: open the container, read the
-           header, seek — once per record *)
-        let rd = Trace_store.Reader.open_file path in
-        Fun.protect
-          ~finally:(fun () -> Trace_store.Reader.close rd)
-          (fun () ->
-            ignore
-              (Trace_store.Reader.seek_record rd
-                 ~offset:e.Trace_store.Index.offset);
-            (Trace_store.Reader.replay rd Hydra.Trace.null_sink)
-              .Trace_store.Reader.events)
+      let decode_reopen _ (e : Trace_store.Index.entry) =
+        (* the baseline task body: open the container, read the header,
+           seek — once per record *)
+        let rd = Trace_store.Reader.open_mapped path in
+        ignore
+          (Trace_store.Reader.seek_record rd ~offset:e.Trace_store.Index.offset);
+        (Trace_store.Reader.replay rd Hydra.Trace.null_sink)
+          .Trace_store.Reader.events
       in
       let src = Trace_store.Bytesrc.map_file path in
       let decode_mapped _ (e : Trace_store.Index.entry) =
@@ -1273,7 +1074,7 @@ let handoff_bench ~smoke () =
       let fifo_s =
         time_min (fun () ->
             let counts, _ =
-              Jrpm.Scheduler.map_stats ~jobs ~label decode_channel entries
+              Jrpm.Scheduler.map_stats ~jobs ~label decode_reopen entries
             in
             check_events "FIFO" counts)
       in
@@ -1292,7 +1093,6 @@ let handoff_bench ~smoke () =
       let gated = cores >= 4 in
       let parallel_ok = (not gated) || parallel_ratio >= handoff_parallel_floor in
       if not parallel_ok then failed := true;
-      Printf.printf "\n";
       Util.Text_table.print
         ~aligns:Util.Text_table.[ Left; Right; Right; Left ]
         ~header:[ "parallel replay (4 workers)"; "wall s"; "speedup"; "status" ]
@@ -1315,9 +1115,9 @@ let handoff_bench ~smoke () =
       if !failed then begin
         prerr_endline
           (Printf.sprintf
-             "handoff bench: below a floor (mapped >= %.1fx channel, adaptive \
-              >= %.1fx FIFO on >=4 cores)"
-             handoff_mapped_floor handoff_parallel_floor);
+             "handoff bench: below the %.1fx adaptive-vs-FIFO floor (>=4 \
+              cores)"
+             handoff_parallel_floor);
         exit 1
       end)
 
@@ -1617,33 +1417,6 @@ let () =
   end;
   if has_arg "serve" then begin
     serve_bench ~smoke:(has_arg "--smoke") ();
-    exit 0
-  end;
-  if has_arg "regress" then begin
-    (* like `jrpm sweep --tolerance`: negative, non-finite (NaN), and
-       non-numeric thresholds are user errors, not gates *)
-    let tolerance =
-      match string_arg "--tolerance" "" with
-      | "" -> None
-      | s -> (
-          match float_of_string_opt s with
-          | None ->
-              Printf.eprintf
-                "bench: --tolerance must be a non-negative percentage, got %S\n"
-                s;
-              exit 2
-          | Some pct -> (
-              try Some (Jrpm.Regression.tolerance_of_fail_pct pct)
-              with Invalid_argument _ ->
-                Printf.eprintf
-                  "bench: --tolerance must be a non-negative percentage, got \
-                   %S\n"
-                  s;
-                exit 2))
-    in
-    regress ~jobs:(jobs_arg ()) ?tolerance
-      ~baseline:(string_arg "--baseline" "test/baseline_sweep_summaries.json")
-      ();
     exit 0
   end;
   let quick = has_arg "quick" in

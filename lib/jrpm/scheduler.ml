@@ -1,29 +1,22 @@
-(* Dynamic work distribution over a persistent pool of forked workers.
+(* Dynamic work distribution over forked workers.
 
-   The parent owns the task queue and hands out one *frame* (a batch of
-   item indices) at a time over a per-worker task pipe; each worker
-   loops — read a frame, run every task in it, write one framed result
-   on its result pipe — until the parent closes the task pipe. A fast
-   worker that finishes its current frame immediately receives the next
-   pending one, so skewed task durations never idle the pool the way
-   static round-robin sharding does. [map] dispatches singleton frames
-   in input order (plain FIFO stealing); [map_adaptive_stats] plans
-   frames from per-task weight estimates — heaviest first, tiny tasks
-   coalesced — via [plan_frames]. The static policy survives as
-   [map_sharded_stats] so `bench -- sched` can measure the difference
-   on the same protocol.
+   [Pool] is the one worker runtime: a set of forked workers, each
+   owning a task pipe and a result pipe that carry framed [Marshal]
+   payloads, multiplexed by the parent with [Unix.select]. A dead
+   worker shows as EOF (or a short read) where a frame was expected.
 
-   Only *indices* cross the task pipe ([count, i1..in], 8-byte LE
-   each): workers are forks of this executable, so the item array and
-   the task closure are already in the child's address space. Results
-   cross back via [Marshal] with [Closures] (safe for the same reason),
-   framed by an 8-byte length so the parent can multiplex many result
-   pipes with [Unix.select] and detect a dead worker as EOF (or a short
-   read) where a frame was expected. The parent writes results into a
-   slot array keyed by item index, so the returned list is in input
-   order no matter which worker finished first or how tasks were
-   batched into frames — downstream output stays byte-identical at any
-   [jobs]. *)
+   The maps run on a [Pool] forked per call. A pool task is one
+   *frame*, the item indices to run as an [int list]: workers are forks
+   of this executable, so the item array and the task closure are
+   already in the child's address space. A fast worker that finishes
+   its frame immediately receives the next pending one, so skewed task
+   durations never idle the pool. [map] dispatches singleton frames in
+   input order (plain FIFO stealing); [map_adaptive_stats] plans frames
+   from per-task weight estimates — heaviest first, tiny tasks
+   coalesced — via [plan_frames]. The parent writes results into a slot
+   array keyed by item index, so the returned list is in input order no
+   matter which worker finished first or how tasks were batched into
+   frames — downstream output stays byte-identical at any [jobs]. *)
 
 type stats = {
   jobs : int;
@@ -134,70 +127,7 @@ let read_u64 fd =
   | Eof -> Eof
   | Truncated -> Truncated
 
-(* ---------------- worker side ---------------- *)
-
-(* One result frame per task frame: [len: 8 bytes LE][Marshal payload]
-   where the payload is [(elapsed_s, [(index, Ok result | Error
-   message); ...])] covering every task of the handout. *)
-let worker_loop f items task_rfd result_wfd =
-  let rec loop () =
-    match read_u64 task_rfd with
-    | Eof | Truncated -> Unix._exit 0
-    | Complete count ->
-        if count <= 0 || count > Array.length items then Unix._exit 2;
-        let idxs =
-          List.init count (fun _ ->
-              match read_u64 task_rfd with
-              | Complete i -> i
-              | Eof | Truncated -> Unix._exit 2)
-        in
-        let t0 = Unix.gettimeofday () in
-        let results =
-          List.map
-            (fun idx ->
-              ( idx,
-                try Ok (f idx items.(idx))
-                with e -> Error (Printexc.to_string e) ))
-            idxs
-        in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        let payload =
-          Marshal.to_bytes (elapsed, results) [ Marshal.Closures ]
-        in
-        write_u64 result_wfd (Bytes.length payload);
-        write_all result_wfd payload;
-        loop ()
-  in
-  (* any protocol failure means the parent vanished; exit silently —
-     the parent's side of the story is authoritative *)
-  (try loop () with _ -> ());
-  Unix._exit 2
-
-(* ---------------- parent side ---------------- *)
-
-type worker = {
-  pid : int;
-  task_wfd : Unix.file_descr;
-  result_rfd : Unix.file_descr;
-  mutable queue : int list list;  (* static policy: this worker's share *)
-  mutable current : int list option;  (* in-flight frame *)
-  mutable retired : bool;  (* task pipe closed: no further handouts *)
-  mutable dead : bool;  (* already reaped after an abnormal EOF *)
-  mutable busy_s : float;
-}
-
-(* [Shared frames]: one queue of planned frames handed out first-free,
-   first-served. [Sharded]: the classic round-robin shard (singleton
-   frames, item i only ever on worker i mod jobs). *)
-type dispatch = Shared of int list list | Sharded
-
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let retire w =
-  if not w.retired then begin
-    w.retired <- true;
-    close_quietly w.task_wfd
-  end
 
 let sequential ~frames f items =
   let t0 = Unix.gettimeofday () in
@@ -242,278 +172,13 @@ let describe_status = function
   | Unix.WSIGNALED sg -> Printf.sprintf "was killed by %s" (signal_name sg)
   | Unix.WSTOPPED sg -> Printf.sprintf "was stopped by %s" (signal_name sg)
 
-let map_core ~dispatch ~jobs ~label f items =
-  let n = List.length items in
-  let frames =
-    match dispatch with
-    | Shared fs -> Array.of_list fs
-    | Sharded -> Array.init n (fun i -> [ i ])
-  in
-  let nframes = Array.length frames in
-  let jobs =
-    (* never more workers than frames: an extra worker could only idle *)
-    max 1 (min jobs nframes)
-  in
-  if jobs <= 1 || (not fork_available) || n <= 1 then
-    sequential ~frames:nframes f items
-  else begin
-    let arr = Array.of_list items in
-    let t0 = Unix.gettimeofday () in
-    (* a worker that dies between our send and its read must not kill
-       the parent with SIGPIPE; EPIPE is handled at the write site *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ | Sys_error _ -> None
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        match old_sigpipe with
-        | Some h -> Sys.set_signal Sys.sigpipe h
-        | None -> ())
-      (fun () ->
-        let workers =
-          let acc = ref [] in
-          for w = 0 to jobs - 1 do
-            let task_rfd, task_wfd = Unix.pipe ~cloexec:false () in
-            let result_rfd, result_wfd = Unix.pipe ~cloexec:false () in
-            (match Unix.fork () with
-            | 0 ->
-                (* child: keep only its own task-read / result-write
-                   ends; release every parent-side fd inherited from
-                   earlier forks so EOF detection stays precise *)
-                Unix.close task_wfd;
-                Unix.close result_rfd;
-                List.iter
-                  (fun prev ->
-                    close_quietly prev.task_wfd;
-                    close_quietly prev.result_rfd)
-                  !acc;
-                worker_loop f arr task_rfd result_wfd
-            | pid ->
-                Unix.close task_rfd;
-                Unix.close result_wfd;
-                let queue =
-                  match dispatch with
-                  | Shared _ -> []
-                  | Sharded ->
-                      (* the classic round-robin shard: item i belongs
-                         to worker (i mod jobs) *)
-                      List.filter_map
-                        (fun i -> if i mod jobs = w then Some [ i ] else None)
-                        (List.init n Fun.id)
-                in
-                acc :=
-                  {
-                    pid;
-                    task_wfd;
-                    result_rfd;
-                    queue;
-                    current = None;
-                    retired = false;
-                    dead = false;
-                    busy_s = 0.;
-                  }
-                  :: !acc)
-          done;
-          List.rev !acc
-        in
-        let results = Array.make n None in
-        let task_errors = ref [] in
-        (* (in-flight label option, wait-status description), newest
-           first *)
-        let deaths = ref [] in
-        let aborting = ref false in
-        let next_frame = ref 0 in
-        let frame_label fr =
-          match fr with
-          | [] -> "empty frame"
-          | i :: rest ->
-              label i arr.(i)
-              ^
-              (match rest with
-              | [] -> ""
-              | _ ->
-                  Printf.sprintf " (+%d more in its frame)" (List.length rest))
-        in
-        let mark_dead w =
-          let victim = Option.map frame_label w.current in
-          w.current <- None;
-          retire w;
-          close_quietly w.result_rfd;
-          w.dead <- true;
-          let status =
-            match restart_eintr (fun () -> Unix.waitpid [] w.pid) with
-            | _, st -> describe_status st
-            | exception Unix.Unix_error _ -> "vanished"
-          in
-          deaths := (victim, status) :: !deaths;
-          aborting := true
-        in
-        let take_next w =
-          match dispatch with
-          | Shared _ ->
-              if !next_frame < nframes then begin
-                let fr = frames.(!next_frame) in
-                incr next_frame;
-                Some fr
-              end
-              else None
-          | Sharded -> (
-              match w.queue with
-              | [] -> None
-              | fr :: rest ->
-                  w.queue <- rest;
-                  Some fr)
-        in
-        let send_frame w fr =
-          write_u64 w.task_wfd (List.length fr);
-          List.iter (fun i -> write_u64 w.task_wfd i) fr
-        in
-        let assign w =
-          if !aborting then retire w
-          else
-            match take_next w with
-            | None -> retire w
-            | Some fr -> (
-                match send_frame w fr with
-                | () -> w.current <- Some fr
-                | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _)
-                  ->
-                    (* the worker died before reading this handout;
-                       blame the frame it never ran so the report names
-                       the point where progress stopped *)
-                    w.current <- Some fr;
-                    mark_dead w)
-        in
-        List.iter assign workers;
-        let receive w =
-          match read_u64 w.result_rfd with
-          | Eof | Truncated -> mark_dead w
-          | Complete len when len < 0 || len > 1 lsl 30 -> mark_dead w
-          | Complete len -> (
-              match read_exact w.result_rfd len with
-              | Eof | Truncated -> mark_dead w
-              | Complete payload ->
-                  let elapsed, frame_results =
-                    (Marshal.from_bytes payload 0
-                      : float * (int * (_, string) result) list)
-                  in
-                  w.busy_s <- w.busy_s +. elapsed;
-                  w.current <- None;
-                  List.iter
-                    (fun (idx, r) ->
-                      match r with
-                      | Ok v -> results.(idx) <- Some v
-                      | Error msg ->
-                          task_errors :=
-                            (label idx arr.(idx), msg) :: !task_errors;
-                          aborting := true)
-                    frame_results;
-                  assign w;
-                  if w.retired && not w.dead then close_quietly w.result_rfd)
-        in
-        let rec pump () =
-          match List.filter (fun w -> w.current <> None) workers with
-          | [] -> ()
-          | busy ->
-              let fds = List.map (fun w -> w.result_rfd) busy in
-              let ready, _, _ =
-                restart_eintr (fun () -> Unix.select fds [] [] (-1.))
-              in
-              List.iter
-                (fun fd ->
-                  match List.find_opt (fun w -> w.result_rfd = fd) busy with
-                  | Some w when w.current <> None -> receive w
-                  | _ -> ())
-                ready;
-              pump ()
-        in
-        pump ();
-        (* nothing in flight: close remaining pipes and reap the
-           survivors (dead workers were reaped in [mark_dead]) *)
-        List.iter
-          (fun w ->
-            if not w.dead then begin
-              retire w;
-              close_quietly w.result_rfd;
-              ignore (restart_eintr (fun () -> Unix.waitpid [] w.pid))
-            end)
-          workers;
-        let wall = Unix.gettimeofday () -. t0 in
-        (match (!deaths, !task_errors) with
-        | [], [] -> ()
-        | deaths, errors ->
-            let death_msgs =
-              List.rev_map
-                (fun (victim, status) ->
-                  match victim with
-                  | Some name ->
-                      Printf.sprintf "worker running %s %s" name status
-                  | None -> Printf.sprintf "worker %s" status)
-                deaths
-            in
-            let error_msgs =
-              List.rev_map (fun (name, msg) -> name ^ ": " ^ msg) errors
-            in
-            failwith
-              ("Jrpm.Scheduler: " ^ String.concat "; " (death_msgs @ error_msgs)));
-        let out =
-          Array.to_list results
-          |> List.mapi (fun i r ->
-                 match r with
-                 | Some v -> v
-                 | None ->
-                     failwith
-                       (Printf.sprintf "Jrpm.Scheduler: missing result for %s"
-                          (label i arr.(i))))
-        in
-        let busy_s = List.fold_left (fun acc w -> acc +. w.busy_s) 0. workers in
-        let max_busy =
-          List.fold_left (fun acc w -> Float.max acc w.busy_s) 0. workers
-        in
-        ( out,
-          {
-            jobs;
-            tasks = n;
-            frames = nframes;
-            wall_s = wall;
-            busy_s;
-            max_worker_busy_s = max_busy;
-          } ))
-  end
-
-let fifo_frames n = List.init n (fun i -> [ i ])
-
-let map_stats ?(jobs = 1) ?(label = default_label) f items =
-  map_core ~dispatch:(Shared (fifo_frames (List.length items))) ~jobs ~label f
-    items
-
-let map ?jobs ?label f items = fst (map_stats ?jobs ?label f items)
-
-let map_sharded_stats ?(jobs = 1) ?(label = default_label) f items =
-  map_core ~dispatch:Sharded ~jobs ~label f items
-
-let map_adaptive_stats ?(jobs = 1) ?(label = default_label) ?frames_per_worker
-    ~weights f items =
-  let warr = Array.of_list (List.mapi weights items) in
-  let frames =
-    plan_frames
-      ~jobs:(max 1 (min jobs (Array.length warr)))
-      ?frames_per_worker warr
-  in
-  map_core ~dispatch:(Shared frames) ~jobs ~label f items
-
-let map_adaptive ?jobs ?label ?frames_per_worker ~weights f items =
-  fst (map_adaptive_stats ?jobs ?label ?frames_per_worker ~weights f items)
-
 (* ---------------- persistent pool ---------------- *)
 
-(* The map variants above fork a pool per call; [Pool] keeps one alive
-   across calls so a resident server pays the fork cost once. Tasks
-   (not indices) cross the task pipe as framed [Marshal] payloads —
-   pool tasks arrive over a socket long after the fork, so there is no
-   shared item array to index into. One task per worker in flight;
-   completing a task immediately pulls the next queued one. *)
+(* The one forked-worker runtime. Tasks cross the task pipe as framed
+   [Marshal] payloads; one task per worker in flight, and completing a
+   task immediately pulls the next queued one. A resident server keeps
+   one pool alive across requests so it pays the fork cost once; the
+   maps below fork one per call. *)
 module Pool = struct
   type 'res completion = {
     ticket : int;
@@ -522,18 +187,18 @@ module Pool = struct
     outcome : ('res, string) result;
   }
 
-  type pworker = {
-    mutable ppid : int;
-    mutable ptask_wfd : Unix.file_descr;
-    mutable presult_rfd : Unix.file_descr;
-    mutable pcurrent : (int * string) option;  (* in-flight ticket *)
+  type worker = {
+    mutable pid : int;
+    mutable task_wfd : Unix.file_descr;
+    mutable result_rfd : Unix.file_descr;
+    mutable current : (int * string) option;  (* in-flight ticket *)
   }
 
   type ('task, 'res) t = {
     run : 'task -> 'res;
     pjobs : int;
     child_cleanup : unit -> unit;
-    mutable pws : pworker list;
+    mutable pws : worker list;
     pqueue : (int * string * 'task) Queue.t;
     mutable next_ticket : int;
     mutable done_rev : 'res completion list;  (* undelivered, newest first *)
@@ -546,7 +211,7 @@ module Pool = struct
      framed Marshal'd [(elapsed_s, Ok res | Error msg)]. EOF on the
      task pipe — the parent closed it, or died and the kernel closed
      it — is the shutdown signal, even if it arrives mid-frame. *)
-  let pool_worker_loop run task_rfd result_wfd =
+  let serve_tasks run task_rfd result_wfd =
     let rec loop () =
       match read_u64 task_rfd with
       | Eof | Truncated -> Unix._exit 0
@@ -592,16 +257,15 @@ module Pool = struct
         Unix.close result_rfd;
         List.iter
           (fun w ->
-            close_quietly w.ptask_wfd;
-            close_quietly w.presult_rfd)
+            close_quietly w.task_wfd;
+            close_quietly w.result_rfd)
           others;
         (try child_cleanup () with _ -> ());
-        pool_worker_loop run task_rfd result_wfd
+        serve_tasks run task_rfd result_wfd
     | pid ->
         Unix.close task_rfd;
         Unix.close result_wfd;
-        { ppid = pid; ptask_wfd = task_wfd; presult_rfd = result_rfd;
-          pcurrent = None }
+        { pid; task_wfd; result_rfd; current = None }
 
   let create ?(jobs = 1) ?(child_cleanup = fun () -> ()) run =
     let jobs = max 1 jobs in
@@ -627,18 +291,18 @@ module Pool = struct
     t
 
   let jobs t = t.pjobs
-  let worker_pids t = List.map (fun w -> w.ppid) t.pws
+  let worker_pids t = List.map (fun w -> w.pid) t.pws
 
   let busy_pids t =
     List.filter_map
-      (fun w -> if w.pcurrent <> None then Some w.ppid else None)
+      (fun w -> if w.current <> None then Some w.pid else None)
       t.pws
 
   let queued t = Queue.length t.pqueue
-  let in_flight t = List.length (List.filter (fun w -> w.pcurrent <> None) t.pws)
+  let in_flight t = List.length (List.filter (fun w -> w.current <> None) t.pws)
   let pending t = queued t + in_flight t
   let deaths t = t.pdeaths
-  let result_fds t = List.map (fun w -> w.presult_rfd) t.pws
+  let result_fds t = List.map (fun w -> w.result_rfd) t.pws
 
   (* A dead worker: complete its in-flight ticket as an [Error] naming
      the wait status, then fork a replacement in place — the pool keeps
@@ -650,12 +314,12 @@ module Pool = struct
 
   let handle_death t w =
     t.pdeaths <- t.pdeaths + 1;
-    close_quietly w.ptask_wfd;
-    close_quietly w.presult_rfd;
-    let status = reap_describe w.ppid in
-    (match w.pcurrent with
+    close_quietly w.task_wfd;
+    close_quietly w.result_rfd;
+    let status = reap_describe w.pid in
+    (match w.current with
     | Some (ticket, label) ->
-        w.pcurrent <- None;
+        w.current <- None;
         t.done_rev <-
           {
             ticket;
@@ -671,19 +335,19 @@ module Pool = struct
         spawn ~run:t.run ~child_cleanup:t.child_cleanup
           ~others:(List.filter (fun o -> o != w) t.pws)
       in
-      w.ppid <- fresh.ppid;
-      w.ptask_wfd <- fresh.ptask_wfd;
-      w.presult_rfd <- fresh.presult_rfd;
-      w.pcurrent <- None
+      w.pid <- fresh.pid;
+      w.task_wfd <- fresh.task_wfd;
+      w.result_rfd <- fresh.result_rfd;
+      w.current <- None
     end
 
   let send_task t w (ticket, label, task) =
     let payload = Marshal.to_bytes task [ Marshal.Closures ] in
     match
-      write_u64 w.ptask_wfd (Bytes.length payload);
-      write_all w.ptask_wfd payload
+      write_u64 w.task_wfd (Bytes.length payload);
+      write_all w.task_wfd payload
     with
-    | () -> w.pcurrent <- Some (ticket, label)
+    | () -> w.current <- Some (ticket, label)
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
         (* the worker died before reading this handout: it never ran,
            so requeue at the front and let the replacement take it *)
@@ -695,7 +359,7 @@ module Pool = struct
 
   let rec dispatch t =
     if not (Queue.is_empty t.pqueue) then
-      match List.find_opt (fun w -> w.pcurrent = None) t.pws with
+      match List.find_opt (fun w -> w.current = None) t.pws with
       | None -> ()
       | Some w ->
           send_task t w (Queue.pop t.pqueue);
@@ -724,26 +388,26 @@ module Pool = struct
      the worker died. Either way the worker becomes free and the queue
      is re-dispatched. *)
   let receive t w =
-    (match read_u64 w.presult_rfd with
+    (match read_u64 w.result_rfd with
     | Eof | Truncated -> handle_death t w
     | Complete len when len < 0 || len > 1 lsl 30 -> handle_death t w
     | Complete len -> (
-        match read_exact w.presult_rfd len with
+        match read_exact w.result_rfd len with
         | Eof | Truncated -> handle_death t w
         | Complete payload -> (
             let elapsed_s, outcome =
               (Marshal.from_bytes payload 0 : float * (_, string) result)
             in
-            match w.pcurrent with
+            match w.current with
             | None -> ()  (* spurious frame from a worker we reset *)
             | Some (ticket, label) ->
-                w.pcurrent <- None;
+                w.current <- None;
                 t.done_rev <-
                   { ticket; label; elapsed_s; outcome } :: t.done_rev)));
     dispatch t
 
   let drain_fd t fd =
-    match List.find_opt (fun w -> w.presult_rfd = fd) t.pws with
+    match List.find_opt (fun w -> w.result_rfd = fd) t.pws with
     | Some w -> receive t w
     | None -> ()
 
@@ -755,10 +419,10 @@ module Pool = struct
   let poll ?(timeout_s = 0.) t =
     if not t.inline then begin
       dispatch t;
-      match List.filter (fun w -> w.pcurrent <> None) t.pws with
+      match List.filter (fun w -> w.current <> None) t.pws with
       | [] -> ()
       | busy ->
-          let fds = List.map (fun w -> w.presult_rfd) busy in
+          let fds = List.map (fun w -> w.result_rfd) busy in
           let ready, _, _ =
             restart_eintr (fun () -> Unix.select fds [] [] timeout_s)
           in
@@ -788,10 +452,138 @@ module Pool = struct
       t.pdown <- true;
       List.iter
         (fun w ->
-          close_quietly w.ptask_wfd;
-          close_quietly w.presult_rfd)
+          close_quietly w.task_wfd;
+          close_quietly w.result_rfd)
         t.pws;
-      List.iter (fun w -> ignore (reap_describe w.ppid : string)) t.pws;
+      List.iter (fun w -> ignore (reap_describe w.pid : string)) t.pws;
       t.pws <- []
     end
 end
+
+(* ---------------- maps over a per-call pool ---------------- *)
+
+(* A worker that dies between our send and its read must not kill the
+   parent with SIGPIPE; the pool handles EPIPE at the write site. *)
+let with_sigpipe_ignored f =
+  let old =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+    with Invalid_argument _ | Sys_error _ -> None
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter (Sys.set_signal Sys.sigpipe) old)
+    f
+
+(* Feed [frames] to a pool of [jobs] workers, one frame per worker in
+   flight. A frame's result is the worker's pid plus one [Ok | Error]
+   per index, so an error inside a coalesced frame names its own task;
+   a worker death completes the frame's ticket as an [Error] naming the
+   frame. After the first failure nothing more is submitted: the
+   in-flight frames drain, the pool is shut down, and the failures are
+   raised together. *)
+let map_frames ~jobs ~label ~frames f items =
+  let n = List.length items in
+  let nframes = List.length frames in
+  (* never more workers than frames: an extra worker could only idle *)
+  let jobs = max 1 (min jobs nframes) in
+  if jobs <= 1 || (not fork_available) || n <= 1 then
+    sequential ~frames:nframes f items
+  else
+    with_sigpipe_ignored (fun () ->
+        let arr = Array.of_list items in
+        let t0 = Unix.gettimeofday () in
+        let run frame =
+          ( Unix.getpid (),
+            List.map
+              (fun i ->
+                (i, try Ok (f i arr.(i)) with e -> Error (Printexc.to_string e)))
+              frame )
+        in
+        let frame_label = function
+          | [] -> "empty frame"
+          | [ i ] -> label i arr.(i)
+          | i :: rest ->
+              Printf.sprintf "%s (+%d more in its frame)" (label i arr.(i))
+                (List.length rest)
+        in
+        let results = Array.make n None in
+        let busy_by_pid = Hashtbl.create jobs in
+        let failures = ref [] (* newest first *) in
+        let todo = ref frames in
+        let pool = Pool.create ~jobs run in
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            let submit_next () =
+              match !todo with
+              | fr :: rest when !failures = [] ->
+                  todo := rest;
+                  ignore (Pool.submit ~label:(frame_label fr) pool fr : int)
+              | _ -> ()
+            in
+            for _ = 1 to jobs do
+              submit_next ()
+            done;
+            let rec collect () =
+              match Pool.wait pool with
+              | [] -> ()
+              | completions ->
+                  List.iter
+                    (fun (c : _ Pool.completion) ->
+                      (match c.Pool.outcome with
+                      | Error death -> failures := death :: !failures
+                      | Ok (pid, frame_results) ->
+                          let prev =
+                            Option.value ~default:0.
+                              (Hashtbl.find_opt busy_by_pid pid)
+                          in
+                          Hashtbl.replace busy_by_pid pid
+                            (prev +. c.Pool.elapsed_s);
+                          List.iter
+                            (fun (i, r) ->
+                              match r with
+                              | Ok v -> results.(i) <- Some v
+                              | Error msg ->
+                                  failures :=
+                                    (label i arr.(i) ^ ": " ^ msg) :: !failures)
+                            frame_results);
+                      submit_next ())
+                    completions;
+                  collect ()
+            in
+            collect ());
+        let wall = Unix.gettimeofday () -. t0 in
+        if !failures <> [] then
+          failwith
+            ("Jrpm.Scheduler: " ^ String.concat "; " (List.rev !failures));
+        (* the frames partition the indices, so with no failure every
+           slot is filled *)
+        let out = List.map Option.get (Array.to_list results) in
+        let busy = Hashtbl.fold (fun _ b acc -> b :: acc) busy_by_pid [] in
+        ( out,
+          {
+            jobs;
+            tasks = n;
+            frames = nframes;
+            wall_s = wall;
+            busy_s = List.fold_left ( +. ) 0. busy;
+            max_worker_busy_s = List.fold_left Float.max 0. busy;
+          } ))
+
+let map_stats ?(jobs = 1) ?(label = default_label) f items =
+  let frames = List.init (List.length items) (fun i -> [ i ]) in
+  map_frames ~jobs ~label ~frames f items
+
+let map ?jobs ?label f items = fst (map_stats ?jobs ?label f items)
+
+let map_adaptive_stats ?(jobs = 1) ?(label = default_label) ?frames_per_worker
+    ~weights f items =
+  let warr = Array.of_list (List.mapi weights items) in
+  let frames =
+    plan_frames
+      ~jobs:(max 1 (min jobs (Array.length warr)))
+      ?frames_per_worker warr
+  in
+  map_frames ~jobs ~label ~frames f items
+
+let map_adaptive ?jobs ?label ?frames_per_worker ~weights f items =
+  fst (map_adaptive_stats ?jobs ?label ?frames_per_worker ~weights f items)

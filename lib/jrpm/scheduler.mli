@@ -1,17 +1,16 @@
 (** Work-stealing task scheduler over forked worker processes.
 
-    The parent keeps a queue of task {e frames} — batches of item
-    indices — and a persistent pool of [jobs] forked workers. Each
-    worker owns two pipes: a task pipe (parent -> worker) carrying one
-    frame per handout ([count, i1..in], 8-byte little-endian each), and
-    a result pipe (worker -> parent) carrying one framed
-    [Marshal]-encoded [(elapsed_s, [(index, Ok v | Error msg); ...])]
-    per frame. Workers are forks of the calling process, so the item
-    list and the task closure never cross a pipe — only indices and
-    results do. When a worker reports a frame the parent immediately
-    hands it the next pending one (dynamic policy), so a skewed task
-    mix keeps every worker busy until the queue drains; closing the
-    task pipe is the shutdown signal.
+    {!Pool} is the worker runtime: [jobs] forked workers, each owning a
+    task pipe (parent -> worker) and a result pipe (worker -> parent)
+    that carry framed [Marshal] payloads. The maps fork a {!Pool} per
+    call whose task is one {e frame} — a batch of item indices,
+    Marshal'd as an [int list] — and whose result is one
+    [(pid, [(index, Ok v | Error msg); ...])] per frame. Workers are
+    forks of the calling process, so the item list and the task closure
+    never cross a pipe — only indices and results do. When a worker
+    reports a frame the parent immediately hands it the next pending
+    one (dynamic policy), so a skewed task mix keeps every worker busy
+    until the queue drains.
 
     [map] dispatches singleton frames in input order (plain FIFO
     stealing). [map_adaptive_stats] plans frames from caller-supplied
@@ -26,12 +25,13 @@
 
     {b Failure semantics.} A worker that exits or is killed mid-frame
     is detected as EOF (or a short frame) on its result pipe; the
-    parent then stops handing out work, drains in-flight frames, reaps
-    every child, and raises [Failure] naming the first task of the
-    frame the dead worker was running (plus how many more rode in that
-    frame) and its wait status. A task function that raises is reported
-    the same way (label + exception text) without killing the pool
-    mid-drain. No worker processes outlive a call. *)
+    parent then stops handing out work, drains in-flight frames, shuts
+    the pool down (reaping every child), and raises [Failure] naming
+    the first task of the frame the dead worker was running (plus how
+    many more rode in that frame) and its wait status. A task function
+    that raises is reported the same way (label + exception text)
+    without killing the pool mid-drain. No worker processes outlive a
+    call. *)
 
 type stats = {
   jobs : int;  (** workers actually used (capped at the frame count) *)
@@ -107,19 +107,12 @@ val map_adaptive :
   weights:(int -> 'a -> float) -> (int -> 'a -> 'b) ->
   'a list -> 'b list
 
-(** Same protocol and guarantees, but the static round-robin policy of
-    the pre-scheduler sweep: item [i] may only ever run on worker
-    [i mod jobs]. Kept as the baseline `bench -- sched` compares the
-    dynamic policy against. *)
-val map_sharded_stats :
-  ?jobs:int -> ?label:(int -> 'a -> string) -> (int -> 'a -> 'b) ->
-  'a list -> 'b list * stats
-
 (** A persistent forked worker pool that survives across calls — the
-    substrate for [jrpm serve]. Where the map variants fork per call,
-    [Pool.create] forks once and tasks stream in over time: each task
-    crosses the task pipe as one framed [Marshal] payload, each result
-    comes back as a framed [(elapsed_s, Ok res | Error msg)].
+    substrate for [jrpm serve] and for every map above (which create
+    one pool per call). [Pool.create] forks once and tasks stream in
+    over time: each task crosses the task pipe as one framed [Marshal]
+    payload, each result comes back as a framed
+    [(elapsed_s, Ok res | Error msg)].
 
     {b Failure semantics.} A worker that dies mid-task is detected as
     EOF (or a short frame) on its result pipe; its in-flight ticket

@@ -1,12 +1,14 @@
 (** A bounded, FIFO-evicting int→int associative store with a
     zero-allocation hot path.
 
-    This is the flat-array replacement for {!Bounded_assoc_fifo} on the
-    tracer's per-event paths. It models the same finite-history
-    timestamp buffers of the TEST hardware (paper Sec. 5.3) — bounded
-    capacity, oldest-entry eviction, insert-or-refresh moves a key to
-    the back of the eviction order — but is built so that steady-state
-    [set]/[get]/[evict_oldest] never allocate:
+    This is the flat-array replacement, on the tracer's per-event
+    paths, for the boxed reference store [Bounded_assoc_fifo], which
+    lives in [test/] as this module's test oracle. It models the same
+    finite-history timestamp buffers of the TEST hardware (paper
+    Sec. 5.3) — bounded capacity, oldest-entry eviction,
+    insert-or-refresh moves a key to the back of the eviction order —
+    but is built so that steady-state [set]/[get]/[evict_oldest] never
+    allocate:
 
     - open addressing (linear probing, power-of-two slot count at most
       half full) over flat [int] arrays for keys and values — no boxed
@@ -14,7 +16,7 @@
     - the FIFO eviction order is kept as intrusive doubly-linked list
       links stored in two more [int] arrays indexed by slot — refresh
       and eviction are O(1) pointer surgery, with none of
-      {!Bounded_assoc_fifo}'s stale-queue records or periodic
+      [Bounded_assoc_fifo]'s stale-queue records or periodic
       O(n log n) order rebuilds;
     - deletion uses backward-shift compaction (no tombstones), fixing
       up the intrusive links of any slot it moves, so lookups never
@@ -24,9 +26,9 @@
     can serve as the in-band "absent" sentinel: [get] returns a plain
     [int] instead of an allocating [option].
 
-    Observationally equivalent to [Bounded_assoc_fifo] (same find
-    results and eviction counts for any set/find sequence) — asserted
-    by a property test in [test/test_util.ml]. *)
+    Observationally equivalent to the oracle [test/bounded_assoc_fifo.ml]
+    (same find results and eviction counts for any set/find sequence) —
+    asserted by a property test in [test/test_util.ml]. *)
 
 type t
 

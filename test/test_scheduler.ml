@@ -1,8 +1,8 @@
 (* The work-stealing scheduler: [Scheduler.map ~jobs f xs] must be
    observably [List.mapi f xs] — same results, same order — for any
-   worker count, task mix, or completion order; both distribution
-   policies agree; and failures (task exceptions, killed workers)
-   surface as [Failure] naming the task that was running. *)
+   worker count, task mix, or completion order; and failures (task
+   exceptions, killed workers) surface as [Failure] naming the task
+   that was running. *)
 
 module S = Jrpm.Scheduler
 
@@ -41,14 +41,6 @@ let test_order_with_skew () =
     "input order preserved under skew"
     (List.init 12 Fun.id)
     (S.map ~jobs:4 f items)
-
-let test_sharded_equals_dynamic () =
-  let items = List.init 17 (fun i -> i * i) in
-  let f i x = (i, x + 1) in
-  let dyn, _ = S.map_stats ~jobs:3 f items in
-  let sh, _ = S.map_sharded_stats ~jobs:3 f items in
-  Alcotest.(check bool) "policies agree" true (dyn = sh);
-  Alcotest.(check bool) "both equal mapi" true (dyn = List.mapi f items)
 
 let test_edges () =
   let id _ x = x in
@@ -246,6 +238,40 @@ let test_frame_failures () =
           (contains ~needle:"(+3 more in its frame)" msg)
   end
 
+(* A map forks its pool per call, and a worker death makes the pool
+   fork a replacement: after a clean map, a raising task and a
+   self-SIGKILLing task alike, this process must have no child left —
+   not even an unreaped zombie. *)
+let test_no_worker_outlives_map () =
+  if not S.fork_available then ()
+  else begin
+    let no_children what =
+      match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+      | pid, _ ->
+          Alcotest.fail (Printf.sprintf "child %d outlived the %s map" pid what)
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+    in
+    let items = List.init 8 Fun.id in
+    ignore (S.map ~jobs:3 (fun _ x -> x) items : int list);
+    no_children "successful";
+    (match
+       S.map ~jobs:3 (fun i x -> if i = 4 then failwith "boom" else x) items
+     with
+    | _ -> Alcotest.fail "expected Failure from a raising task"
+    | exception Failure _ -> ());
+    no_children "raising";
+    (match
+       S.map ~jobs:3
+         (fun i x ->
+           if i = 4 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+           x)
+         items
+     with
+    | _ -> Alcotest.fail "expected Failure from a killed worker"
+    | exception Failure _ -> ());
+    no_children "killed-worker"
+  end
+
 (* ---------------- the persistent pool ---------------- *)
 
 (* The daemon's substrate: one Pool outliving many submit/drain
@@ -361,8 +387,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_map_equals_mapi;
         Alcotest.test_case "skewed mix keeps input order" `Quick
           test_order_with_skew;
-        Alcotest.test_case "sharded equals dynamic" `Quick
-          test_sharded_equals_dynamic;
         Alcotest.test_case "edge cases" `Quick test_edges;
         Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
       ] );
@@ -385,6 +409,8 @@ let suites =
           test_killed_worker_names_task;
         Alcotest.test_case "failures through coalesced frames" `Quick
           test_frame_failures;
+        Alcotest.test_case "no worker outlives a map call" `Quick
+          test_no_worker_outlives_map;
       ] );
     ( "scheduler.pool",
       [

@@ -540,7 +540,8 @@ let with_temp_container bytes f =
    per record) must agree exactly with the in-memory parse, on both the
    indexed and the legacy layout; a lying on-disk index must raise
    through the same partial-read path; and the mapped reader must
-   decode a real file identically to the string backend. *)
+   decode a real file identically to a reader over the same bytes in
+   memory. *)
 let test_of_file_and_mapped_agree () =
   let records = three_records () in
   let indexed = W.container records in
@@ -557,9 +558,8 @@ let test_of_file_and_mapped_agree () =
         "mapped decode = string decode" true
         (collect_record mapped ~offset:e.I.offset
         = collect_record (B.of_string indexed) ~offset:e.I.offset);
-      (* open_mapped drains the whole container like open_file *)
-      let drain_with open_ =
-        let r = open_ path in
+      (* open_mapped drains the whole container like of_string *)
+      let drain r =
         let rec go acc =
           match R.next_record r with
           | None -> List.rev acc
@@ -568,13 +568,11 @@ let test_of_file_and_mapped_agree () =
               ignore (R.replay r sink : R.replay_stats);
               go ((record.R.name, events ()) :: acc)
         in
-        let out = go [] in
-        R.close r;
-        out
+        go []
       in
       Alcotest.(check bool)
-        "open_mapped = open_file" true
-        (drain_with R.open_mapped = drain_with R.open_file));
+        "open_mapped = of_string" true
+        (drain (R.open_mapped path) = drain (R.of_string indexed)));
   with_temp_container legacy (fun path ->
       Alcotest.(check bool)
         "of_file = of_string (legacy, scan fallback)" true
@@ -610,22 +608,20 @@ let write_file path bytes =
   close_out oc
 
 let drain_reader rd =
-  Fun.protect
-    ~finally:(fun () -> R.close rd)
-    (fun () ->
-      let rec go () =
-        match R.next_record rd with
-        | None -> ()
-        | Some _ ->
-            ignore (R.replay rd Hydra.Trace.null_sink : R.replay_stats);
-            go ()
-      in
-      go ())
+  let rec go () =
+    match R.next_record rd with
+    | None -> ()
+    | Some _ ->
+        ignore (R.replay rd Hydra.Trace.null_sink : R.replay_stats);
+        go ()
+  in
+  go ()
 
 (* A container cut short on disk — a capture that died before its
    atomic rename, read through a non-atomic writer's leftovers — must
-   surface as a clean Corrupt from BOTH reader backends, at any cut
-   point, never as a decode of garbage or an unhandled exception. *)
+   surface as a clean Corrupt at any cut point, whether the bytes are
+   mapped from the file or already in memory, never as a decode of
+   garbage or an unhandled exception. *)
 let test_truncated_file_both_backends () =
   let good =
     W.container
@@ -637,13 +633,17 @@ let test_truncated_file_both_backends () =
   with_temp_file (fun path ->
       List.iter
         (fun keep ->
-          write_file path (String.sub good 0 keep);
+          let cut = String.sub good 0 keep in
+          write_file path cut;
           List.iter
             (fun (backend, open_rd) ->
               expect_corrupt
                 (Printf.sprintf "%s: truncated to %d bytes" backend keep)
-                (fun () -> drain_reader (open_rd path)))
-            [ ("channel", R.open_file); ("mapped", R.open_mapped) ])
+                (fun () -> drain_reader (open_rd ())))
+            [
+              ("mapped", fun () -> R.open_mapped path);
+              ("string", fun () -> R.of_string cut);
+            ])
         [ 0; 5; 8; 20; String.length good / 3; String.length good - 1 ])
 
 (* map_file on things that are not regular trace files: empty files
