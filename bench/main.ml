@@ -1386,17 +1386,14 @@ let () =
       Sys.argv;
     !v
   in
-  (* a worker count must be a positive integer: `--jobs 0`, negatives,
-     and non-numbers are user errors, not requests for the default *)
   let jobs_arg () =
     match string_arg "--jobs" "" with
-    | "" -> Jrpm.Parallel_sweep.default_jobs ()
+    | "" -> Jrpm.Scheduler.default_jobs ()
     | s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> n
-        | _ ->
-            Printf.eprintf
-              "bench: invalid --jobs %S (expected a positive integer)\n" s;
+        match Jrpm.Scheduler.jobs_of_string s with
+        | Ok n -> n
+        | Error msg ->
+            Printf.eprintf "bench: invalid --jobs: %s\n" msg;
             exit 2)
   in
   if has_arg "tracer" then begin

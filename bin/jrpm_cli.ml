@@ -99,26 +99,29 @@ let hw_of_banks banks =
     Printf.eprintf "jrpm: %s\n" msg;
     exit 2
 
-(* a worker count must be a positive integer: `--jobs 0` is a user
-   error, not a request for the default *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some n ->
-        Error (`Msg (Printf.sprintf "%d is not a positive worker count" n))
-    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
+(* a worker count must be a positive integer: `--jobs 0` is a usage
+   error (exit 2, like the subcommands' other flag checks), not a
+   request for the default *)
 let jobs_arg =
-  Arg.(
-    value
-    & opt (some positive_int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "number of worker processes (default: core count; 1 = run \
-           sequentially in-process; must be positive)")
+  let resolve = function
+    | None -> Jrpm.Scheduler.default_jobs ()
+    | Some s -> (
+        match Jrpm.Scheduler.jobs_of_string s with
+        | Ok n -> n
+        | Error msg ->
+            Printf.eprintf "jrpm: --jobs: %s\n" msg;
+            exit 2)
+  in
+  Term.(
+    const resolve
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "jobs"; "j" ] ~docv:"N"
+            ~doc:
+              "number of worker processes (default: core count, or \
+               $(b,JRPM_JOBS); 1 = run sequentially in-process; must be \
+               positive)"))
 
 (* Containers are written atomically (temp + fsync + rename) so a
    crash mid-capture never leaves a truncated container where a good
@@ -134,17 +137,82 @@ let write_container_file ~file bytes =
         (Unix.error_message err);
       exit 1
 
-let write_text_file ~what file contents =
+(* Every JSON document the CLI writes (--profile-json, --summary-json,
+   --diff-json, explore matrices) is pretty-printed plus a trailing
+   newline; [what] names it in the error. *)
+let write_json_file ~what file json =
   match open_out file with
   | oc ->
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          output_string oc contents;
+          output_string oc (Obs.Json.to_string ~pretty:true json);
           output_char oc '\n')
   | exception Sys_error msg ->
       Printf.eprintf "jrpm: cannot write %s: %s\n" what msg;
       exit 1
+
+(* The --summary-json array: one writer, so every command that emits
+   it (sweep, trace replay, explore, and the client mirrors) stays
+   byte-identical to the others. *)
+let write_summaries ?(what = "summary JSON") file summaries =
+  write_json_file ~what file
+    (Obs.Json.List (List.map Jrpm.Report_summary.to_json summaries))
+
+(* The tables below are deterministic stdout (registry or container
+   order, simulated cycles and encoded sizes only; wall-clock goes to
+   stderr), shared by the one-shot commands and their client mirrors so
+   CI can `cmp` the two. *)
+let print_sweep_table summaries =
+  Util.Text_table.print
+    ~aligns:
+      Util.Text_table.[ Left; Right; Right; Right; Right; Right; Right; Left ]
+    ~header:
+      [
+        "Benchmark"; "Plain cycles"; "TLS cycles"; "Actual x"; "Pred x";
+        "STLs"; "Violations"; "Outputs";
+      ]
+    (List.map
+       (fun (s : Jrpm.Report_summary.t) ->
+         [
+           s.Jrpm.Report_summary.name;
+           string_of_int s.Jrpm.Report_summary.plain_cycles;
+           string_of_int s.Jrpm.Report_summary.tls_cycles;
+           Printf.sprintf "%.2f" s.Jrpm.Report_summary.actual_speedup;
+           Printf.sprintf "%.2f" s.Jrpm.Report_summary.predicted_speedup;
+           string_of_int s.Jrpm.Report_summary.selected_stls;
+           string_of_int s.Jrpm.Report_summary.violations;
+           (if s.Jrpm.Report_summary.outputs_match then "match" else "MISMATCH");
+         ])
+       summaries)
+
+(* rows are (name, events, record_bytes, reference_bytes, replayed
+   summary, matches) *)
+let print_replay_table rows =
+  Util.Text_table.print
+    ~aligns:
+      Util.Text_table.[ Left; Right; Right; Right; Right; Right; Right; Left ]
+    ~header:
+      [
+        "Benchmark"; "Events"; "Bytes"; "B/event"; "Ratio"; "Pred x"; "STLs";
+        "Replay";
+      ]
+    (List.map
+       (fun (name, events, record_bytes, reference_bytes,
+             (s : Jrpm.Report_summary.t), matches) ->
+         [
+           name;
+           string_of_int events;
+           string_of_int record_bytes;
+           Printf.sprintf "%.2f"
+             (float_of_int record_bytes /. float_of_int (max 1 events));
+           Printf.sprintf "%.1f"
+             (float_of_int reference_bytes /. float_of_int (max 1 record_bytes));
+           Printf.sprintf "%.2f" s.Jrpm.Report_summary.predicted_speedup;
+           string_of_int s.Jrpm.Report_summary.selected_stls;
+           (if matches then "match" else "DIVERGED");
+         ])
+       rows)
 
 (* Run the full pipeline under an optional observability recorder and
    emit the requested --profile / --profile-json outputs. *)
@@ -198,18 +266,8 @@ let run_observed ~profile ~profile_json ~banks ~sync ~name src =
                 ]))
       end;
       (match profile_json with
-      | Some file -> (
-          match open_out file with
-          | oc ->
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () ->
-                  output_string oc
-                    (Obs.Json.to_string ~pretty:true (Obs.Recorder.to_json rc));
-                  output_char oc '\n')
-          | exception Sys_error msg ->
-              Printf.eprintf "jrpm: cannot write profile JSON: %s\n" msg;
-              exit 1)
+      | Some file ->
+          write_json_file ~what:"profile JSON" file (Obs.Recorder.to_json rc)
       | None -> ()));
   r
 
@@ -550,24 +608,34 @@ let sweep_cmd =
   in
   let sweep jobs profile profile_json summary_json baseline update_baseline
       tolerance diff_json trace trend trend_label =
-    let jobs =
-      match jobs with
-      | Some n -> n
-      | None -> Jrpm.Parallel_sweep.default_jobs ()
+    (* flag combinations are usage errors, diagnosed before any work *)
+    let reject_flags why flags =
+      List.iter
+        (fun (given, flag) ->
+          if given then begin
+            Printf.eprintf "jrpm: %s %s\n" flag why;
+            exit 2
+          end)
+        flags
     in
-    (match (baseline, update_baseline, diff_json) with
-    | None, true, _ ->
-        Printf.eprintf "jrpm: --update-baseline requires --baseline FILE\n";
-        exit 2
-    | None, _, Some _ ->
-        Printf.eprintf "jrpm: --diff-json requires --baseline FILE\n";
-        exit 2
-    | _ -> ());
-    (match (baseline, trend) with
-    | None, Some _ ->
-        Printf.eprintf "jrpm: --trend requires --baseline FILE\n";
-        exit 2
-    | _ -> ());
+    if baseline = None then
+      reject_flags "requires --baseline FILE"
+        [
+          (update_baseline, "--update-baseline");
+          (diff_json <> None, "--diff-json");
+          (trend <> None, "--trend");
+        ];
+    (* --update-baseline rewrites the file instead of diffing against
+       it, so the diff-only flags would be silently ignored *)
+    if update_baseline then
+      reject_flags
+        "has no effect with --update-baseline (it only applies to a \
+         baseline diff)"
+        [
+          (tolerance <> None, "--tolerance");
+          (diff_json <> None, "--diff-json");
+          (trend <> None, "--trend");
+        ];
     let tolerance =
       match tolerance with
       | None -> Jrpm.Regression.default_tolerance
@@ -602,51 +670,16 @@ let sweep_cmd =
         Printf.eprintf "jrpm: trace container %s: %d workloads, %d bytes\n"
           file (List.length outcomes) (String.length bytes)
     | _ -> ());
-    (* stdout is deterministic (registry order, simulated cycles only);
-       wall-clock timing goes to stderr *)
-    Util.Text_table.print
-      ~aligns:
-        Util.Text_table.[ Left; Right; Right; Right; Right; Right; Right; Left ]
-      ~header:
-        [
-          "Benchmark"; "Plain cycles"; "TLS cycles"; "Actual x"; "Pred x";
-          "STLs"; "Violations"; "Outputs";
-        ]
-      (List.map
-         (fun (o : Jrpm.Parallel_sweep.outcome) ->
-           let s = o.Jrpm.Parallel_sweep.summary in
-           [
-             s.Jrpm.Report_summary.name;
-             string_of_int s.Jrpm.Report_summary.plain_cycles;
-             string_of_int s.Jrpm.Report_summary.tls_cycles;
-             Printf.sprintf "%.2f" s.Jrpm.Report_summary.actual_speedup;
-             Printf.sprintf "%.2f" s.Jrpm.Report_summary.predicted_speedup;
-             string_of_int s.Jrpm.Report_summary.selected_stls;
-             string_of_int s.Jrpm.Report_summary.violations;
-             (if s.Jrpm.Report_summary.outputs_match then "match" else "MISMATCH");
-           ])
-         outcomes);
+    let summaries =
+      List.map
+        (fun (o : Jrpm.Parallel_sweep.outcome) -> o.Jrpm.Parallel_sweep.summary)
+        outcomes
+    in
+    print_sweep_table summaries;
     Printf.eprintf "sweep: %d benchmarks, %d jobs, %.2fs wall-clock\n%!"
       (List.length outcomes) jobs wall_s;
     (match summary_json with
-    | Some file -> (
-        let doc =
-          Obs.Json.List
-            (List.map
-               (fun (o : Jrpm.Parallel_sweep.outcome) ->
-                 Jrpm.Report_summary.to_json o.Jrpm.Parallel_sweep.summary)
-               outcomes)
-        in
-        match open_out file with
-        | oc ->
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc (Obs.Json.to_string ~pretty:true doc);
-                output_char oc '\n')
-        | exception Sys_error msg ->
-            Printf.eprintf "jrpm: cannot write summary JSON: %s\n" msg;
-            exit 1)
+    | Some file -> write_summaries file summaries
     | None -> ());
     (match Jrpm.Parallel_sweep.merged_recorder outcomes with
     | None -> ()
@@ -658,30 +691,14 @@ let sweep_cmd =
                ~header:[ "phase"; "spans"; "seconds"; "share" ]
                (Obs.Recorder.phase_rows merged));
         (match profile_json with
-        | Some file -> (
-            match open_out file with
-            | oc ->
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () ->
-                    output_string oc
-                      (Obs.Json.to_string ~pretty:true
-                         (Obs.Recorder.to_json merged));
-                    output_char oc '\n')
-            | exception Sys_error msg ->
-                Printf.eprintf "jrpm: cannot write profile JSON: %s\n" msg;
-                exit 1)
+        | Some file ->
+            write_json_file ~what:"profile JSON" file
+              (Obs.Recorder.to_json merged)
         | None -> ()));
     (* ----- benchmark-regression gate ----- *)
     match baseline with
     | None -> ()
     | Some file ->
-        let summaries =
-          List.map
-            (fun (o : Jrpm.Parallel_sweep.outcome) ->
-              o.Jrpm.Parallel_sweep.summary)
-            outcomes
-        in
         if update_baseline then begin
           (try Jrpm.Regression.save_baseline file summaries
            with Failure msg ->
@@ -711,19 +728,8 @@ let sweep_cmd =
                 exit 1)
           | None -> ());
           (match diff_json with
-          | Some out -> (
-              match open_out out with
-              | oc ->
-                  Fun.protect
-                    ~finally:(fun () -> close_out oc)
-                    (fun () ->
-                      output_string oc
-                        (Obs.Json.to_string ~pretty:true
-                           (Jrpm.Regression.to_json d));
-                      output_char oc '\n')
-              | exception Sys_error msg ->
-                  Printf.eprintf "jrpm: cannot write diff JSON: %s\n" msg;
-                  exit 1)
+          | Some out ->
+              write_json_file ~what:"diff JSON" out (Jrpm.Regression.to_json d)
           | None -> ());
           if Jrpm.Regression.failed d then exit 1
         end
@@ -780,11 +786,6 @@ let trace_record_cmd =
                   exit 1)
             names
     in
-    let jobs =
-      match jobs with
-      | Some n -> n
-      | None -> Jrpm.Parallel_sweep.default_jobs ()
-    in
     let outcomes =
       with_frontend_errors (fun () ->
           Jrpm.Parallel_sweep.run ~jobs ~capture:true ~workloads ())
@@ -807,52 +808,21 @@ let trace_record_cmd =
 
 let trace_replay_cmd =
   let replay file summary_json profile profile_json jobs =
-    let jobs =
-      match jobs with Some n -> n | None -> Jrpm.Parallel_sweep.default_jobs ()
-    in
     let outcomes =
       fail_trace_errors (fun () -> Jrpm.Replay.replay_file ~jobs file)
     in
-    (* stdout is deterministic: encoded sizes and re-derived analysis
-       results only; wall-clock throughput goes to stderr via --profile *)
-    Util.Text_table.print
-      ~aligns:
-        Util.Text_table.[ Left; Right; Right; Right; Right; Right; Right; Left ]
-      ~header:
-        [
-          "Benchmark"; "Events"; "Bytes"; "B/event"; "Ratio"; "Pred x"; "STLs";
-          "Replay";
-        ]
+    print_replay_table
       (List.map
          (fun (o : Jrpm.Replay.outcome) ->
-           [
-             o.Jrpm.Replay.name;
-             string_of_int o.Jrpm.Replay.events;
-             string_of_int o.Jrpm.Replay.record_bytes;
-             Printf.sprintf "%.2f"
-               (float_of_int o.Jrpm.Replay.record_bytes
-               /. float_of_int (max 1 o.Jrpm.Replay.events));
-             Printf.sprintf "%.1f"
-               (float_of_int o.Jrpm.Replay.reference_bytes
-               /. float_of_int (max 1 o.Jrpm.Replay.record_bytes));
-             Printf.sprintf "%.2f"
-               o.Jrpm.Replay.replayed.Jrpm.Report_summary.predicted_speedup;
-             string_of_int
-               o.Jrpm.Replay.replayed.Jrpm.Report_summary.selected_stls;
-             (if o.Jrpm.Replay.matches then "match" else "DIVERGED");
-           ])
+           Jrpm.Replay.
+             ( o.name, o.events, o.record_bytes, o.reference_bytes, o.replayed,
+               o.matches ))
          outcomes);
     (match summary_json with
     | Some out ->
-        let doc =
-          Obs.Json.List
-            (List.map
-               (fun (o : Jrpm.Replay.outcome) ->
-                 Jrpm.Report_summary.to_json o.Jrpm.Replay.replayed)
-               outcomes)
-        in
-        write_text_file ~what:"summary JSON" out
-          (Obs.Json.to_string ~pretty:true doc)
+        write_summaries out
+          (List.map (fun (o : Jrpm.Replay.outcome) -> o.Jrpm.Replay.replayed)
+             outcomes)
     | None -> ());
     (if profile || profile_json <> None then begin
        let rc = Obs.Recorder.create () in
@@ -877,8 +847,7 @@ let trace_replay_cmd =
                  ]));
        match profile_json with
        | Some out ->
-           write_text_file ~what:"profile JSON" out
-             (Obs.Json.to_string ~pretty:true (Obs.Recorder.to_json rc))
+           write_json_file ~what:"profile JSON" out (Obs.Recorder.to_json rc)
        | None -> ()
      end);
     if List.exists (fun (o : Jrpm.Replay.outcome) -> not o.Jrpm.Replay.matches)
@@ -1051,7 +1020,7 @@ let explore_cmd =
     let grid = grid @ grid_pos in
     let t =
       fail_trace_errors (fun () ->
-          try Jrpm.Explore.run ?jobs ~grid ~path:file ()
+          try Jrpm.Explore.run ~jobs ~grid ~path:file ()
           with Invalid_argument msg ->
             (* an out-of-range grid point (validate) is a usage error *)
             Printf.eprintf "jrpm: %s\n" msg;
@@ -1060,18 +1029,13 @@ let explore_cmd =
     print_string (Jrpm.Explore.render t);
     (match matrix_json with
     | Some out ->
-        write_text_file ~what:"explore matrix JSON" out
-          (Obs.Json.to_string ~pretty:true (Jrpm.Explore.to_json t))
+        write_json_file ~what:"explore matrix JSON" out
+          (Jrpm.Explore.to_json t)
     | None -> ());
     match default_summary_json with
     | Some out ->
-        let doc =
-          Obs.Json.List
-            (List.map Jrpm.Report_summary.to_json
-               (Jrpm.Explore.default_summaries t))
-        in
-        write_text_file ~what:"default-point summary JSON" out
-          (Obs.Json.to_string ~pretty:true doc)
+        write_summaries ~what:"default-point summary JSON" out
+          (Jrpm.Explore.default_summaries t)
     | None -> ()
   in
   Cmd.v
@@ -1107,9 +1071,6 @@ let serve_cmd =
              socket (one client; exits at stdin EOF)")
   in
   let serve socket stdio jobs =
-    let jobs =
-      match jobs with Some n -> n | None -> Jrpm.Parallel_sweep.default_jobs ()
-    in
     let transport =
       match (socket, stdio) with
       | Some path, false -> Jrpm.Daemon.Socket path
@@ -1251,37 +1212,9 @@ let client_profile_cmd =
                   summary_of_member ~what:n json)
             ids
         in
-        (* the jrpm sweep table, byte for byte *)
-        Util.Text_table.print
-          ~aligns:
-            Util.Text_table.
-              [ Left; Right; Right; Right; Right; Right; Right; Left ]
-          ~header:
-            [
-              "Benchmark"; "Plain cycles"; "TLS cycles"; "Actual x"; "Pred x";
-              "STLs"; "Violations"; "Outputs";
-            ]
-          (List.map
-             (fun (s : Jrpm.Report_summary.t) ->
-               [
-                 s.Jrpm.Report_summary.name;
-                 string_of_int s.Jrpm.Report_summary.plain_cycles;
-                 string_of_int s.Jrpm.Report_summary.tls_cycles;
-                 Printf.sprintf "%.2f" s.Jrpm.Report_summary.actual_speedup;
-                 Printf.sprintf "%.2f" s.Jrpm.Report_summary.predicted_speedup;
-                 string_of_int s.Jrpm.Report_summary.selected_stls;
-                 string_of_int s.Jrpm.Report_summary.violations;
-                 (if s.Jrpm.Report_summary.outputs_match then "match"
-                  else "MISMATCH");
-               ])
-             summaries);
+        print_sweep_table summaries;
         match summary_json with
-        | Some file ->
-            let doc =
-              Obs.Json.List (List.map Jrpm.Report_summary.to_json summaries)
-            in
-            write_text_file ~what:"summary JSON" file
-              (Obs.Json.to_string ~pretty:true doc)
+        | Some file -> write_summaries file summaries
         | None -> ())
   in
   Cmd.v
@@ -1341,42 +1274,15 @@ let client_replay_cmd =
           | Some (Obs.Json.Bool b) -> b
           | _ -> false
         in
-        (* the jrpm trace replay table, byte for byte *)
-        Util.Text_table.print
-          ~aligns:
-            Util.Text_table.
-              [ Left; Right; Right; Right; Right; Right; Right; Left ]
-          ~header:
-            [
-              "Benchmark"; "Events"; "Bytes"; "B/event"; "Ratio"; "Pred x";
-              "STLs"; "Replay";
-            ]
+        print_replay_table
           (List.map2
              (fun rj (s : Jrpm.Report_summary.t) ->
-               let events = jint rj "events" in
-               let record_bytes = jint rj "record_bytes" in
-               let reference_bytes = jint rj "reference_bytes" in
-               [
-                 s.Jrpm.Report_summary.name;
-                 string_of_int events;
-                 string_of_int record_bytes;
-                 Printf.sprintf "%.2f"
-                   (float_of_int record_bytes /. float_of_int (max 1 events));
-                 Printf.sprintf "%.1f"
-                   (float_of_int reference_bytes
-                   /. float_of_int (max 1 record_bytes));
-                 Printf.sprintf "%.2f" s.Jrpm.Report_summary.predicted_speedup;
-                 string_of_int s.Jrpm.Report_summary.selected_stls;
-                 (if matches rj then "match" else "DIVERGED");
-               ])
+               ( s.Jrpm.Report_summary.name, jint rj "events",
+                 jint rj "record_bytes", jint rj "reference_bytes", s,
+                 matches rj ))
              records summaries);
         (match summary_json with
-        | Some out ->
-            let doc =
-              Obs.Json.List (List.map Jrpm.Report_summary.to_json summaries)
-            in
-            write_text_file ~what:"summary JSON" out
-              (Obs.Json.to_string ~pretty:true doc)
+        | Some out -> write_summaries out summaries
         | None -> ());
         if List.exists (fun rj -> not (matches rj)) records then begin
           Printf.eprintf
@@ -1418,8 +1324,7 @@ let client_explore_cmd =
         in
         (match matrix_json with
         | Some out ->
-            write_text_file ~what:"explore matrix JSON" out
-              (Obs.Json.to_string ~pretty:true json)
+            write_json_file ~what:"explore matrix JSON" out json
         | None -> ());
         let count k =
           match Obs.Json.member k json with

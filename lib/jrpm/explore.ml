@@ -209,9 +209,7 @@ let assemble ~archive ~configs ~records cells =
   { archive; points; flips = find_flips points }
 
 let run ?jobs ~grid ~path () =
-  let jobs =
-    match jobs with Some n -> max 1 n | None -> Parallel_sweep.default_jobs ()
-  in
+  let jobs = match jobs with Some n -> n | None -> Scheduler.default_jobs () in
   let configs = configs_of_grid (parse_grid grid) in
   (* map the archive once; workers inherit the read-only pages across
      fork, so a grid cell's record handoff is just the index entry's

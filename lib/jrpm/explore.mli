@@ -4,7 +4,7 @@
     variants against the trace store: every grid point replays each
     record through a fresh tracer (geometry re-derived from the point
     via {!Test_core.Tracer.config_of}) and re-runs the Eq. 1 / Eq. 2
-    analysis at that machine ({!Replay.replay_current} with [?hw]) —
+    analysis at that machine ({!Replay.replay_entry} with [?hw]) —
     no re-interpretation, so a thousand-point sweep costs thousands of
     replays, each 20–40× cheaper than a pipeline run. The default
     machine is always evaluated first as the reference column and its
@@ -21,7 +21,7 @@
     Simulation-derived summary fields ([tls_cycles], [actual_speedup],
     violation/stall counts) pass through from the capture machine —
     only the analysis verdicts and predictions respond to the config
-    (see {!Replay.replay_current}). *)
+    (see {!Replay.replay_entry}). *)
 
 type axis = { field : string; values : int list }
 
@@ -83,7 +83,7 @@ val eval_cell :
     exposed so the serve daemon can submit cells to its persistent
     pool against a cached mapping.
     @raise Trace_store.Reader.Corrupt / [Failure] as
-    {!Replay.replay_current}. *)
+    {!Replay.replay_entry}. *)
 
 val cell_tasks :
   Hydra.Config.t list -> Trace_store.Index.entry list ->
@@ -103,7 +103,7 @@ val assemble :
 val run : ?jobs:int -> grid:string list -> path:string -> unit -> t
 (** Parse [grid], evaluate {!configs_of_grid} over the container at
     [path] — one scheduler task per (point × record) across [jobs]
-    workers (default {!Parallel_sweep.default_jobs}) — and report
+    workers (default {!Scheduler.default_jobs}) — and report
     verdict flips. Output is byte-identical for any [jobs].
     @raise Failure on grid errors or worker failures;
     @raise Trace_store.Reader.Corrupt / [Sys_error] on a bad archive. *)

@@ -10,14 +10,14 @@
       workload no longer idles the rest of the pool (the old static
       round-robin sharding did);
     - each worker runs the complete pipeline for the workload with its
-      own {!Obs.Recorder} (when [observe]), then ships one result frame
-      back: the {!Report_summary}/recorder state serialized through the
-      lib/obs JSON schema, the captured trace record bytes (when
-      [capture]), and the full report (marshalled — workers are forks
-      of this executable, so closures survive);
-    - the parent slots results by workload index, decodes the JSON back
-      through {!Report_summary.of_json} / {!Obs.Recorder.of_json}, and
-      returns outcomes in registry order.
+      own {!Obs.Recorder} (when [observe]) and returns
+      [(report, recorder, trace)] — the full report, the recorder, and
+      the captured trace record bytes (when [capture]) — as one
+      [Marshal] frame (workers are forks of this executable, so
+      closures survive);
+    - the parent slots results by workload index, derives each
+      {!Report_summary} from its report, and returns outcomes in
+      registry order.
 
     Determinism: the pipeline itself is deterministic and outcomes are
     ordered by registry index, never by arrival, so any [jobs] value
@@ -33,21 +33,16 @@
 type outcome = {
   workload : Workloads.Workload.t;
   report : Pipeline.report;
-  summary : Report_summary.t;  (** decoded from the worker's JSON *)
+  summary : Report_summary.t;  (** {!Report_summary.of_report} [report] *)
   recorder : Obs.Recorder.t option;
-      (** the worker's per-workload recorder, decoded from its JSON
-          dump; [None] unless the sweep ran with [observe] *)
+      (** the worker's per-workload recorder; [None] unless the sweep
+          ran with [observe] *)
   trace : string option;
       (** the workload's finished trace-store record bytes; [None]
           unless the sweep ran with [capture]. Records are
           self-contained, so the parent assembles one container by
           byte-copying them in registry order ({!container}). *)
 }
-
-val default_jobs : unit -> int
-(** Core count ({!Scheduler.core_count}); the [JRPM_JOBS] environment
-    variable overrides it. An invalid override (not a positive integer)
-    is diagnosed on stderr and treated as unset. *)
 
 val run :
   ?jobs:int ->
@@ -57,16 +52,18 @@ val run :
   unit ->
   outcome list
 (** [run ()] sweeps [workloads] (default: the whole registry, in
-    Table-6 order) across [jobs] workers (default {!default_jobs}) and
+    Table-6 order) across [jobs] workers (default
+    {!Scheduler.default_jobs}) and
     returns outcomes in registry order. [observe] (default [false])
     attaches a fresh {!Obs.Recorder} to every workload's pipeline run
     and records {!Pipeline.record_report_metrics} gauges, exactly like
     the sequential bench harness. [capture] (default [false]) records
     every workload's optimized profiling event stream into a
-    trace-store record ({!Replay.capture_run}); workers ship the
-    finished record bytes over the wire alongside the summary. Runs
-    sequentially in-process when [jobs <= 1], when forking is
-    unavailable (Windows), or for a single workload.
+    trace-store record ({!Replay.capture_run}); workers return the
+    finished record bytes alongside the report. {!Scheduler.map} runs
+    the sweep in-process for one worker, for a single workload, or
+    where forking is unavailable (Windows); a pipeline error then
+    propagates unwrapped.
     @raise Failure when a worker fails, naming the workload it ran. *)
 
 val container : outcome list -> string option

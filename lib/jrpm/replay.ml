@@ -173,14 +173,6 @@ let replay_current ?hw reader (record : Trace_store.Reader.record) =
     elapsed_s;
   }
 
-let replay_all ?hw reader =
-  let rec go acc =
-    match Trace_store.Reader.next_record reader with
-    | None -> List.rev acc
-    | Some record -> go (replay_current ?hw reader record :: acc)
-  in
-  go []
-
 let replay_entry ?hw ~src (entry : Trace_store.Index.entry) =
   let reader = Trace_store.Reader.of_src src in
   let record =
@@ -197,25 +189,24 @@ let record_label _ (e : Trace_store.Index.entry) =
    self-contained, so each worker seeks straight to its record and
    replays it in isolation; results return in entry order, keeping the
    summary output byte-identical to a sequential pass at any [jobs]. *)
-let replay_entries ?hw ?(jobs = 1) ~src entries =
-  if jobs <= 1 || not Scheduler.fork_available then
-    List.map (replay_entry ?hw ~src) entries
-  else
-    Scheduler.map_adaptive ~jobs ~label:record_label
-      ~weights:(fun _ (e : Trace_store.Index.entry) ->
-        float_of_int e.Trace_store.Index.events)
-      (fun _ entry -> replay_entry ?hw ~src entry)
-      entries
+let replay_entries ?hw ?jobs ~src entries =
+  Scheduler.map_adaptive ?jobs ~label:record_label
+    ~weights:(fun _ (e : Trace_store.Index.entry) ->
+      float_of_int e.Trace_store.Index.events)
+    (fun _ entry -> replay_entry ?hw ~src entry)
+    entries
 
 (* Zero-copy handoff: the parent maps the container once and parses the
    index from the mapped tail; forked workers inherit the read-only
    pages, so a task is just (offset, length) into the shared source —
    no per-task open, header read, or chunk copy. *)
-let replay_file ?hw ?(jobs = 1) path =
+let replay_file ?hw ?jobs path =
   let src = Trace_store.Bytesrc.map_file path in
-  replay_entries ?hw ~jobs ~src (Trace_store.Index.of_src src)
+  replay_entries ?hw ?jobs ~src (Trace_store.Index.of_src src)
 
-let replay_string ?hw s = replay_all ?hw (Trace_store.Reader.of_string s)
+let replay_string ?hw s =
+  let src = Trace_store.Bytesrc.of_string s in
+  replay_entries ?hw ~src (Trace_store.Index.of_src src)
 
 let record_metrics reg outcomes =
   let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in

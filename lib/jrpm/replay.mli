@@ -68,14 +68,21 @@ val capture_run :
     return the report plus the finished record bytes (ready for
     {!Trace_store.Writer.container}). *)
 
-val replay_current :
+val replay_entry :
   ?hw:Hydra.Config.t ->
-  Trace_store.Reader.t ->
-  Trace_store.Reader.record ->
+  src:Trace_store.Bytesrc.t ->
+  Trace_store.Index.entry ->
   outcome
-(** Replay the reader's current record (the one the given
-    {!Trace_store.Reader.next_record} result described) through a fresh
-    tracer + analyzer and compare against the recorded summary.
+(** Replay exactly one record of an already-materialized byte source:
+    build a cheap cursor ({!Trace_store.Reader.of_src}), seek to the
+    entry's offset, replay in place. Records are self-contained, so the
+    outcome is identical to the same record's outcome in a sequential
+    {!replay_file} pass — the unit of work the record-sharded parallel
+    decoder and the explore grid fan out. With [src] a
+    {!Trace_store.Bytesrc.map_file} mapping established before the
+    scheduler forks, this is the zero-copy worker task — the record
+    handoff is the (offset, length) pair in [entry]; the worker opens
+    nothing and copies no chunk.
 
     [hw] (default: the record's own ["hw_config"], itself defaulting to
     {!Hydra.Config.default} for records written before the field
@@ -92,23 +99,6 @@ val replay_current :
     @raise Trace_store.Reader.Corrupt on a malformed stream;
     @raise Failure on malformed metadata. *)
 
-val replay_entry :
-  ?hw:Hydra.Config.t ->
-  src:Trace_store.Bytesrc.t ->
-  Trace_store.Index.entry ->
-  outcome
-(** Replay exactly one record of an already-materialized byte source:
-    build a cheap cursor ({!Trace_store.Reader.of_src}), seek to the
-    entry's offset, replay in place. Records are self-contained, so the
-    outcome is identical to the same record's outcome in a sequential
-    {!replay_file} pass — the unit of work the record-sharded parallel
-    decoder and the explore grid fan out. With [src] a
-    {!Trace_store.Bytesrc.map_file} mapping established before the
-    scheduler forks, this is the zero-copy worker task — the record
-    handoff is the (offset, length) pair in [entry]; the worker opens
-    nothing and copies no chunk.
-    @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current}. *)
-
 val replay_entries :
   ?hw:Hydra.Config.t ->
   ?jobs:int ->
@@ -122,12 +112,12 @@ val replay_entries :
     re-indexing per request. [jobs > 1] fans out over the {!Scheduler}
     with event-count weights; output is byte-identical at any [jobs].
     @raise Trace_store.Reader.Corrupt / [Failure] as
-    {!replay_current}. *)
+    {!replay_entry}. *)
 
 val replay_file : ?hw:Hydra.Config.t -> ?jobs:int -> string -> outcome list
 (** Map a container and replay every record, returning outcomes in
     container order; [hw] overrides the hardware point as in
-    {!replay_current}. The container is mapped once
+    {!replay_entry}. The container is mapped once
     ({!Trace_store.Bytesrc.map_file}) and indexed from the mapped tail.
     [jobs > 1] shards records across that many forked decoder workers
     via the {!Scheduler}: the workers inherit the parent's read-only
@@ -144,10 +134,6 @@ val replay_file : ?hw:Hydra.Config.t -> ?jobs:int -> string -> outcome list
 
 val replay_string : ?hw:Hydra.Config.t -> string -> outcome list
 (** {!replay_file} over in-memory container bytes. *)
-
-val replay_all : ?hw:Hydra.Config.t -> Trace_store.Reader.t -> outcome list
-(** Replay every remaining record of an open reader, as
-    {!replay_file}. *)
 
 val record_metrics : Obs.Metrics.t -> outcome list -> unit
 (** Export replay-side gauges into a metrics registry: [trace.records],

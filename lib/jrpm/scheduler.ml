@@ -37,6 +37,27 @@ let default_label i _item = Printf.sprintf "task %d" i
 
 let core_count () = try Domain.recommended_domain_count () with _ -> 1
 
+let jobs_of_string s =
+  match int_of_string_opt s with
+  | Some n when n > 0 -> Ok n
+  | Some n -> Error (Printf.sprintf "%d is not a positive worker count" n)
+  | None -> Error (Printf.sprintf "%S is not an integer" s)
+
+let default_jobs () =
+  match Sys.getenv_opt "JRPM_JOBS" with
+  | None -> core_count ()
+  | Some s -> (
+      match jobs_of_string s with
+      | Ok n -> n
+      | Error _ ->
+          (* an invalid override must not silently change the worker
+             count — behave as if unset, but say so *)
+          Printf.eprintf
+            "jrpm: ignoring invalid JRPM_JOBS=%S (expected a positive \
+             integer); using the core count\n%!"
+            s;
+          core_count ())
+
 (* ---------------- adaptive frame planning ---------------- *)
 
 (* Pure and deterministic: the same weights always yield the same

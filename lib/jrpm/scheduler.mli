@@ -52,10 +52,22 @@ val idle_fraction : stats -> float
 val fork_available : bool
 
 (** Available hardware parallelism ([Domain.recommended_domain_count],
-    [1] when that is unavailable) — the default worker count for CLI
-    [--jobs 0] style requests and the gate benchmarks use before
-    asserting parallel speedups. *)
+    [1] when that is unavailable) — the fallback of {!default_jobs} and
+    the count the gate benchmarks use before asserting parallel
+    speedups. *)
 val core_count : unit -> int
+
+(** [jobs_of_string s] validates a [--jobs] value: [Ok n] for a
+    positive integer, otherwise [Error] with a one-line reason — [0],
+    negatives and non-integers are user errors, not requests for the
+    default. *)
+val jobs_of_string : string -> (int, string) result
+
+(** The worker count when no [--jobs] is given: {!core_count}, unless
+    the [JRPM_JOBS] environment variable overrides it. An invalid
+    override (rejected by {!jobs_of_string}) is diagnosed on stderr and
+    treated as unset. *)
+val default_jobs : unit -> int
 
 (** [plan_frames ~jobs ?frames_per_worker weights] is the adaptive
     granularity plan [map_adaptive_stats] executes: a partition of

@@ -398,11 +398,12 @@ let test_tolerance_validation () =
   let z = R.tolerance_of_fail_pct 0. in
   Alcotest.(check (float 1e-9)) "zero allowed (exact gate)" 0. z.R.fail_pct
 
-(* `jrpm sweep` must reject a bad --tolerance with exit 2 and a clear
-   message BEFORE doing any sweep work — spawn the built binary.
-   (Validation precedes the sweep, so these are fast.) *)
+(* `jrpm sweep` must reject a bad --tolerance, a bad --jobs, and a
+   diff-only flag alongside --update-baseline with exit 2 and a message
+   naming the flag, BEFORE doing any sweep work — spawn the built
+   binary. (Validation precedes the sweep, so these are fast.) *)
 let test_cli_tolerance_rejected () =
-  let check_cli what cmd =
+  let check_cli what ~needle cmd =
     let errfile = Filename.temp_file "jrpm_tolerance" ".err" in
     Fun.protect
       ~finally:(fun () -> try Sys.remove errfile with Sys_error _ -> ())
@@ -418,8 +419,7 @@ let test_cli_tolerance_rejected () =
         Alcotest.(check bool)
           (what ^ ": names the flag: " ^ err)
           true
-          (let needle = "--tolerance must be a non-negative percentage" in
-           let n = String.length needle and h = String.length err in
+          (let n = String.length needle and h = String.length err in
            let rec go i =
              i + n <= h && (String.sub err i n = needle || go (i + 1))
            in
@@ -427,8 +427,23 @@ let test_cli_tolerance_rejected () =
   in
   let jrpm = "../bin/jrpm_cli.exe" in
   if Sys.file_exists jrpm then begin
-    check_cli "jrpm sweep negative" (jrpm ^ " sweep --tolerance=-1");
-    check_cli "jrpm sweep NaN" (jrpm ^ " sweep --tolerance=nan")
+    let bad_tolerance = "--tolerance must be a non-negative percentage" in
+    check_cli "jrpm sweep negative" ~needle:bad_tolerance
+      (jrpm ^ " sweep --tolerance=-1");
+    check_cli "jrpm sweep NaN" ~needle:bad_tolerance
+      (jrpm ^ " sweep --tolerance=nan");
+    check_cli "jrpm sweep --jobs 0"
+      ~needle:"--jobs: 0 is not a positive worker count"
+      (jrpm ^ " sweep --jobs 0");
+    (* the baseline path is never touched: the flags are refused first *)
+    let update = jrpm ^ " sweep --baseline never-written.json --update-baseline" in
+    List.iter
+      (fun (flag, arg) ->
+        check_cli
+          ("--update-baseline with " ^ flag)
+          ~needle:(flag ^ " has no effect with --update-baseline")
+          (Printf.sprintf "%s %s %s" update flag arg))
+      [ ("--tolerance", "3"); ("--diff-json", "diff.json"); ("--trend", "t.jsonl") ]
   end
 
 let suites =

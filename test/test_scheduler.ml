@@ -53,6 +53,17 @@ let test_edges () =
     "jobs 0 treated as sequential" [ 5; 6 ]
     (S.map ~jobs:0 id [ 5; 6 ])
 
+(* the one validator behind every --jobs flag (jrpm and bench) *)
+let test_jobs_of_string () =
+  let check s expected =
+    Alcotest.(check (result int string)) ("jobs_of_string " ^ s) expected
+      (S.jobs_of_string s)
+  in
+  check "4" (Ok 4);
+  check "0" (Error "0 is not a positive worker count");
+  check "-3" (Error "-3 is not a positive worker count");
+  check "x" (Error "\"x\" is not an integer")
+
 let test_stats_accounting () =
   let items = List.init 8 Fun.id in
   let _, st =
@@ -388,6 +399,7 @@ let suites =
         Alcotest.test_case "skewed mix keeps input order" `Quick
           test_order_with_skew;
         Alcotest.test_case "edge cases" `Quick test_edges;
+        Alcotest.test_case "jobs_of_string" `Quick test_jobs_of_string;
         Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
       ] );
     ( "scheduler.adaptive",
