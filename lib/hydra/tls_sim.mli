@@ -60,4 +60,5 @@ val run :
     restarting — the violation-minimizing mechanism of the paper's
     citations [10]/[30] (Cintra-Torrellas / Steffan et al.).
     @raise Machine.Trap only for traps reached non-speculatively
-    (speculative traps squash silently with the thread). *)
+    (speculative traps — including a misspeculated heap access to a
+    negative address — squash silently with the thread). *)

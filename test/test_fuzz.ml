@@ -3,6 +3,15 @@
    build, the TLS simulator (restart-only and sync modes) must all agree
    — and the parse/print round trip must be the identity. *)
 
+(* every traced root loop: the widest selection the TLS code generator
+   accepts, leaving the simulator's correctness machinery to cope *)
+let root_stls (table : Compiler.Stl_table.t) =
+  Array.to_list table.Compiler.Stl_table.stls
+  |> List.filter_map (fun (s : Compiler.Stl_table.stl) ->
+         if s.Compiler.Stl_table.traced && s.Compiler.Stl_table.static_depth = 1
+         then Some s.Compiler.Stl_table.id
+         else None)
+
 let engines_agree seed =
   let src = Fuzz_gen.gen_program seed in
   let tac = Ir.Lower.compile src in
@@ -30,15 +39,10 @@ let engines_agree seed =
         (Hydra.Seq_interp.run ~tracing:true ~sink:(Test_core.Tracer.sink tracer) p)
           .Hydra.Seq_interp.output)
   in
-  let selected =
-    Array.to_list otable.Compiler.Stl_table.stls
-    |> List.filter_map (fun (s : Compiler.Stl_table.stl) ->
-           if s.Compiler.Stl_table.traced && s.Compiler.Stl_table.static_depth = 1
-           then Some s.Compiler.Stl_table.id
-           else None)
-  in
   let tls_prog =
-    Compiler.Codegen.generate ~mode:(Compiler.Codegen.Tls { selected }) otable otac
+    Compiler.Codegen.generate
+      ~mode:(Compiler.Codegen.Tls { selected = root_stls otable })
+      otable otac
   in
   let tls =
     out_of tls_prog (fun p -> (Hydra.Tls_sim.run p).Hydra.Tls_sim.output)
@@ -53,6 +57,54 @@ let prop_engines =
   QCheck.Test.make ~name:"all engines agree on random programs" ~count:40
     QCheck.(int_range 1 1_000_000)
     engines_agree
+
+(* The TLS simulator on a random machine: CPU count, Table-1 buffer
+   limits and line size all vary, and the output must still equal the
+   sequential interpreter's, with and without learned synchronization. *)
+let machine_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, cpus, (lb, sb), lw) ->
+        ( seed,
+          {
+            Hydra.Config.default with
+            num_cpus = cpus;
+            load_buffer_lines = lb;
+            store_buffer_lines = sb;
+            line_words = lw;
+          } ))
+      (quad (int_range 1 1_000_000) (int_range 1 8)
+         (pair (int_range 1 8) (int_range 1 8))
+         (oneofl [ 1; 3; 8 ])))
+
+let print_machine (seed, (c : Hydra.Config.t)) =
+  Printf.sprintf "seed %d, cpus %d, load/store lines %d/%d, line words %d"
+    seed c.num_cpus c.load_buffer_lines c.store_buffer_lines c.line_words
+
+let tls_agrees_on_machine (seed, config) =
+  let tac = Ir.Lower.compile (Fuzz_gen.gen_program seed) in
+  let table = Compiler.Stl_table.build tac in
+  let tls_prog =
+    Compiler.Codegen.generate
+      ~mode:(Compiler.Codegen.Tls { selected = root_stls table })
+      table tac
+  in
+  let strings = List.map Ir.Value.to_string in
+  let seq =
+    strings
+      (Hydra.Seq_interp.run
+         (Compiler.Codegen.generate ~mode:Compiler.Codegen.Plain table tac))
+        .Hydra.Seq_interp.output
+  in
+  List.for_all
+    (fun sync ->
+      seq = strings (Hydra.Tls_sim.run ~config ~sync tls_prog).Hydra.Tls_sim.output)
+    [ false; true ]
+
+let prop_machines =
+  QCheck.Test.make ~name:"tls == sequential on random machines" ~count:40
+    (QCheck.make ~print:print_machine machine_gen)
+    tls_agrees_on_machine
 
 let roundtrip seed =
   let src = Fuzz_gen.gen_program seed in
@@ -99,6 +151,7 @@ let suites =
     ( "fuzz.differential",
       [
         QCheck_alcotest.to_alcotest prop_engines;
+        QCheck_alcotest.to_alcotest prop_machines;
         QCheck_alcotest.to_alcotest prop_roundtrip;
         Alcotest.test_case "workloads round-trip" `Quick test_workload_roundtrip;
         Alcotest.test_case "print preserves semantics" `Quick

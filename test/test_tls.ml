@@ -81,15 +81,21 @@ let equivalence_cases =
       "int[] a;\n\
        int in_p;\n\
        def main() { a = new int[100]; for (int i = 0; i < 100; i = i + 1) { a[i] = i % 9 + 1; } in_p = 0; int n = 0; while (in_p < 100) { in_p = in_p + a[in_p]; n = n + 1; } print_int(n); print_int(in_p); }";
+    (* a successor reads v[a[i] - 1000000] before its predecessor has
+       stored a[i]: the stale 0 makes a negative address, which must
+       squash the thread instead of escaping the simulator *)
+    check_equiv "misspeculated negative address squashes"
+      "int[] a; int[] v;\n\
+       def main() { a = new int[64]; v = new int[64]; a[0] = 1000000; for (int i = 0; i < 63; i = i + 1) { int t = v[a[i] - 1000000]; a[i+1] = i + 1000001; v[i] = t + 1; } print_int(v[62]); }";
   ]
 
 (* Dependence-free loops actually speed up (and never slow down much). *)
+let parallel_loop_src =
+  "int[] a;\n\
+   def main() { a = new int[4000]; for (int i = 0; i < 4000; i = i + 1) { a[i] = i * i % 1000; } print_int(a[3999]); }"
+
 let test_speedup_parallel_loop () =
-  let plain, tls =
-    compile_both
-      "int[] a;\n\
-       def main() { a = new int[4000]; for (int i = 0; i < 4000; i = i + 1) { a[i] = i * i % 1000; } print_int(a[3999]); }"
-  in
+  let plain, tls = compile_both parallel_loop_src in
   let sc = (Hydra.Seq_interp.run plain).Hydra.Seq_interp.cycles in
   let tr = Hydra.Tls_sim.run tls in
   let speedup = float_of_int sc /. float_of_int tr.Hydra.Tls_sim.cycles in
@@ -99,12 +105,12 @@ let test_speedup_parallel_loop () =
     (speedup > 2.5 && speedup <= 4.05);
   Alcotest.(check int) "no violations" 0 tr.Hydra.Tls_sim.stats.violations
 
+let serial_chain_src =
+  "int[] a;\n\
+   def main() { a = new int[500]; a[0] = 1; for (int i = 1; i < 500; i = i + 1) { a[i] = a[i-1] + 1; } print_int(a[499]); }"
+
 let test_serial_chain_has_violations () =
-  let _, tls =
-    compile_both
-      "int[] a;\n\
-       def main() { a = new int[500]; a[0] = 1; for (int i = 1; i < 500; i = i + 1) { a[i] = a[i-1] + 1; } print_int(a[499]); }"
-  in
+  let _, tls = compile_both serial_chain_src in
   let tr = Hydra.Tls_sim.run tls in
   Alcotest.(check bool) "violations occurred" true
     (tr.Hydra.Tls_sim.stats.violations > 50)
@@ -147,6 +153,107 @@ let test_spec_stats_sane () =
     && tr.Hydra.Tls_sim.stats.threads_committed <= 102);
   Alcotest.(check bool) "spec cycles accounted" true
     (tr.Hydra.Tls_sim.stats.spec_cycles > 0)
+
+(* Allocation budget of the simulator's cycle loop, in minor-heap words
+   per simulated cycle. The boxed [Value.Int] results of ALU ops make
+   up most of what remains; the speculative buffers, the per-cycle
+   passes and the loads themselves allocate nothing in steady state. *)
+let check_alloc_budget name src ~budget =
+  let _, tls = compile_both src in
+  let before = Gc.minor_words () in
+  let r = Hydra.Tls_sim.run tls in
+  let w = (Gc.minor_words () -. before) /. float_of_int r.Hydra.Tls_sim.cycles in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words/cycle <= %.0f" name w budget)
+    true (w <= budget)
+
+let test_alloc_budget () =
+  (* the measured values, rounded up: 3.5 and 4.6 *)
+  check_alloc_budget "dependence-free loop" parallel_loop_src ~budget:4.;
+  check_alloc_budget "serial chain" serial_chain_src ~budget:5.
+
+(* Simulated behaviour pinned at machine points the golden and baseline
+   sweep gates (default machine, no sync) never visit. Each row is
+   [cycles; threads_committed; violations; overflow_stalls;
+   forwarded_loads; loops_entered; spec_cycles; sync_stalls], recorded
+   from the hashtable-buffered simulator this one replaced; every root
+   loop the tracer would see is selected, so violations, forwarding,
+   overflow stalls and sync stalls all occur. *)
+let pinned_points =
+  let d = Hydra.Config.default in
+  [
+    ("cpus=1", { d with Hydra.Config.num_cpus = 1 }, false);
+    ("cpus=8", { d with Hydra.Config.num_cpus = 8 }, false);
+    ( "buffers 4/2",
+      { d with Hydra.Config.load_buffer_lines = 4; store_buffer_lines = 2 },
+      false );
+    ("sync", d, true);
+  ]
+
+let pinned =
+  [
+    ( "FourierTest", 4,
+      [
+        [ 110219; 10; 0; 0; 0; 2; 110166; 0 ];
+        [ 27670; 10; 0; 0; 0; 2; 27617; 0 ];
+        [ 27686; 10; 0; 0; 0; 2; 27633; 0 ];
+        [ 27686; 10; 0; 0; 0; 2; 27633; 0 ];
+      ] );
+    ( "monteCarlo", 1500,
+      [
+        [ 234080; 1501; 0; 0; 0; 1; 234059; 0 ];
+        [ 29405; 1501; 0; 0; 0; 1; 29384; 0 ];
+        [ 58580; 1501; 0; 0; 0; 1; 58559; 0 ];
+        [ 58580; 1501; 0; 0; 0; 1; 58559; 0 ];
+      ] );
+    ( "Assignment", 12,
+      [
+        [ 42077; 184; 0; 0; 0; 4; 41998; 0 ];
+        [ 15102; 184; 1435; 0; 1019; 4; 15023; 0 ];
+        [ 24011; 184; 525; 14; 443; 4; 23932; 0 ];
+        [ 16319; 184; 511; 0; 441; 4; 16240; 4 ];
+      ] );
+    ( "LuFactor", 9,
+      [
+        [ 26111; 29; 0; 0; 0; 3; 26044; 0 ];
+        [ 15905; 29; 930; 0; 892; 3; 15838; 0 ];
+        [ 21769; 29; 416; 13; 524; 3; 21702; 0 ];
+        [ 15802; 29; 343; 0; 563; 3; 15735; 7 ];
+      ] );
+    ( "fft", 128,
+      [
+        [ 130307; 386; 0; 0; 0; 3; 31527; 0 ];
+        [ 120726; 386; 4031; 0; 1216; 3; 21946; 0 ];
+        [ 121766; 386; 1592; 0; 526; 3; 22986; 0 ];
+        [ 121330; 386; 746; 0; 736; 3; 22550; 619 ];
+      ] );
+  ]
+
+let test_pinned_machines () =
+  List.iter
+    (fun (name, n, rows) ->
+      let _, tls =
+        compile_both ((Workloads.Registry.find_exn name).Workloads.Workload.source n)
+      in
+      List.iter2
+        (fun (point, config, sync) expected ->
+          let r = Hydra.Tls_sim.run ~config ~sync tls in
+          let s = r.Hydra.Tls_sim.stats in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s at %s" name point)
+            expected
+            [
+              r.Hydra.Tls_sim.cycles;
+              s.threads_committed;
+              s.violations;
+              s.overflow_stalls;
+              s.forwarded_loads;
+              s.loops_entered;
+              s.spec_cycles;
+              s.sync_stalls;
+            ])
+        pinned_points rows)
+    pinned
 
 (* Overflow stall: a loop whose per-iteration footprint exceeds the
    store buffer serializes but stays correct. *)
@@ -409,6 +516,9 @@ let suites =
         Alcotest.test_case "store-load forwarding" `Quick test_forwarding_counted;
         Alcotest.test_case "spec stats" `Quick test_spec_stats_sane;
         Alcotest.test_case "overflow stall" `Quick test_overflow_stall;
+        Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
+        Alcotest.test_case "pinned non-default machines" `Quick
+          test_pinned_machines;
       ] );
     ( "tls.structure",
       [
