@@ -41,6 +41,9 @@ let with_frontend_errors f =
   | Hydra.Machine.Trap msg ->
       Printf.eprintf "runtime trap: %s\n" msg;
       exit 2
+  | Hydra.Machine.Out_of_fuel n ->
+      Printf.eprintf "runtime: out of fuel after %d instructions\n" n;
+      exit 2
 
 (* ---------------- arguments ---------------- *)
 
@@ -895,9 +898,10 @@ let trace_info_cmd =
   in
   let print_index file =
     fail_trace_errors (fun () ->
-        ignore (print_container_line file : Trace_store.Bytesrc.t);
-        (* of_file reads only the header + index chunk, never the body *)
-        let entries = Trace_store.Index.of_file file in
+        let src = print_container_line file in
+        (* indexing touches only the header, the index chunk and one
+           byte per record of the mapping, never the body *)
+        let entries = Trace_store.Index.of_src src in
         Util.Text_table.print
           ~aligns:Util.Text_table.[ Right; Right; Right; Right; Left ]
           ~header:[ "Offset"; "Bytes"; "Events"; "B/event"; "Record" ]

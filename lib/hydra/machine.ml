@@ -1,8 +1,10 @@
-(** Shared runtime machinery: the flat heap, call frames, and the
-    evaluation of ALU / builtin operations on {!Ir.Value} values. Both the
-    sequential interpreter and the TLS simulator build on this. *)
+(** Shared runtime machinery: the flat heap, call frames, the run state,
+    and the evaluation of ALU / builtin operations on {!Ir.Value} values.
+    Both the sequential interpreter and the TLS simulator build on this. *)
 
 open Ir
+
+exception Trap of string
 
 module Memory = struct
   type t = {
@@ -25,11 +27,11 @@ module Memory = struct
     end
 
   let load t addr =
-    if addr < 0 then invalid_arg "Memory.load: negative address";
+    if addr < 0 then raise (Trap "load from a negative address");
     if addr >= Array.length t.cells then Value.zero else t.cells.(addr)
 
   let store t addr v =
-    if addr < 0 then invalid_arg "Memory.store: negative address";
+    if addr < 0 then raise (Trap "store to a negative address");
     ensure t addr;
     t.cells.(addr) <- v
 
@@ -60,7 +62,58 @@ type frame = {
   uid : int; (* unique frame id, for local-variable timestamps *)
 }
 
-exception Trap of string
+(** The state of one program run, shared by the sequential loop and the
+    speculative CPUs: committed memory, the global clock, the dynamic
+    instruction count (checked against [fuel]) and the printed values. *)
+type run = {
+  prog : Native.program;
+  mem : Memory.t;
+  fuel : int;
+  mutable cycles : int;
+  mutable icount : int;
+  mutable output : Value.t list; (* newest first *)
+  mutable last_uid : int; (* uid of the newest frame *)
+}
+
+exception Out_of_fuel of int
+
+let start ~fuel (prog : Native.program) =
+  {
+    prog;
+    mem = Memory.create ~heap_base:prog.Native.heap_base;
+    fuel;
+    cycles = 0;
+    icount = 0;
+    output = [];
+    last_uid = 0;
+  }
+
+(* copy the argument registers [args] of a call into the callee's slots *)
+let rec pass_args slots regs i = function
+  | [] -> ()
+  | r :: rest ->
+      slots.(i) <- regs.(r);
+      pass_args slots regs (i + 1) rest
+
+let rec arg_values regs = function
+  | [] -> []
+  | r :: rest -> regs.(r) :: arg_values regs rest
+
+(** A fresh frame for function [fidx], its first slots holding the
+    values of the caller's registers [args]. *)
+let new_frame r fidx ret_pc ret_reg args caller_regs =
+  let f = r.prog.Native.funcs.(fidx) in
+  let slots = Array.make (max f.Native.nslots 1) Value.zero in
+  pass_args slots caller_regs 0 args;
+  r.last_uid <- r.last_uid + 1;
+  {
+    fidx;
+    slots;
+    regs = Array.make (max f.Native.nregs 1) Value.zero;
+    ret_pc;
+    ret_reg;
+    uid = r.last_uid;
+  }
 
 let eval_binop (op : Tac.binop) (a : Value.t) (b : Value.t) : Value.t =
   let open Value in

@@ -7,31 +7,21 @@ type result = {
   instructions : int;
 }
 
-exception Out_of_fuel of int
+exception Out_of_fuel = Machine.Out_of_fuel
 
-let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
-    (p : Native.program) : result =
-  let mem = Machine.Memory.create ~heap_base:p.heap_base in
-  let output = ref [] in
-  let cycles = ref 0 in
-  let icount = ref 0 in
-  let frame_uid = ref 0 in
-  let new_frame fidx ret_pc ret_reg args =
-    let f = p.funcs.(fidx) in
-    let slots = Array.make (max f.nslots 1) Value.zero in
-    List.iteri (fun i v -> slots.(i) <- v) args;
-    incr frame_uid;
-    {
-      Machine.fidx;
-      slots;
-      regs = Array.make (max f.nregs 1) Value.zero;
-      ret_pc;
-      ret_reg;
-      uid = !frame_uid;
-    }
-  in
+(* The clock and the instruction count live in local refs (registers,
+   without flambda) and reach [m] only around [tls_enter] and at exit:
+   writing the record fields on every instruction costs ~10% of the
+   plain loop. *)
+let exec ?(sink = Trace.null_sink) ?(tracing = false) ~tls_enter
+    (m : Machine.run) =
+  let p = m.Machine.prog in
+  let mem = m.Machine.mem in
+  let fuel = m.Machine.fuel in
+  let cycles = ref m.Machine.cycles in
+  let icount = ref m.Machine.icount in
   let stack = ref [] in
-  let frame = ref (new_frame p.main (-1) None []) in
+  let frame = ref (Machine.new_frame m p.main (-1) None [] [||]) in
   let pc = ref 0 in
   let running = ref true in
   while !running do
@@ -89,16 +79,15 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
           Value.Int (Machine.Memory.alloc ~kind mem (Value.to_int regs.(n)));
         pc := next
     | Native.Call (ret_reg, callee, args) ->
-        let argv = List.map (fun r -> regs.(r)) args in
         if tracing then sink.Trace.on_call ~callee ~now:!cycles;
         stack := !frame :: !stack;
-        frame := new_frame callee next ret_reg argv;
+        frame := Machine.new_frame m callee next ret_reg args regs;
         pc := 0
     | Native.Builtin (d, b, args) ->
-        regs.(d) <- Machine.eval_builtin b (List.map (fun r -> regs.(r)) args);
+        regs.(d) <- Machine.eval_builtin b (Machine.arg_values regs args);
         pc := next
     | Native.Print (_, r) ->
-        output := regs.(r) :: !output;
+        m.Machine.output <- regs.(r) :: m.Machine.output;
         pc := next
     | Native.Jump t -> pc := t
     | Native.Branch (r, a, b) ->
@@ -140,7 +129,27 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
           sink.Trace.on_local_store ~frame:!frame.Machine.uid ~slot:s
             ~now:!cycles;
         pc := next
-    | Native.Tls_enter _ | Native.Tls_iter_end _ | Native.Tls_exit _ ->
-        pc := next)
+    | Native.Tls_enter stl ->
+        m.Machine.cycles <- !cycles;
+        m.Machine.icount <- !icount;
+        (match tls_enter stl !frame with
+        | Some (resumed, resume_pc) ->
+            frame := resumed;
+            pc := resume_pc
+        | None -> pc := next);
+        cycles := m.Machine.cycles;
+        icount := m.Machine.icount
+    | Native.Tls_iter_end _ | Native.Tls_exit _ -> pc := next)
   done;
-  { cycles = !cycles; output = List.rev !output; memory = mem; instructions = !icount }
+  m.Machine.cycles <- !cycles;
+  m.Machine.icount <- !icount
+
+let run ?sink ?tracing ?(fuel = 500_000_000) (p : Native.program) : result =
+  let m = Machine.start ~fuel p in
+  exec ?sink ?tracing ~tls_enter:(fun _ _ -> None) m;
+  {
+    cycles = m.Machine.cycles;
+    output = List.rev m.Machine.output;
+    memory = m.Machine.mem;
+    instructions = m.Machine.icount;
+  }

@@ -4,8 +4,9 @@
     {!Cost} model. With [~tracing:true] the annotation instructions and
     all heap accesses are reported to [sink] (and the annotations cost
     their Table-4 overhead cycles); with [~tracing:false] annotations are
-    free no-ops, modelling plain compiled code. TLS markers are always
-    no-ops here. *)
+    free no-ops, modelling plain compiled code. TLS markers are no-ops
+    in [run]; {!Tls_sim} runs its master CPU on [exec] and hands each
+    [Tls_enter] to the speculative machine. *)
 
 type result = {
   cycles : int;
@@ -16,6 +17,24 @@ type result = {
 
 exception Out_of_fuel of int
 
+val exec :
+  ?sink:Trace.sink ->
+  ?tracing:bool ->
+  tls_enter:(int -> Machine.frame -> (Machine.frame * int) option) ->
+  Machine.run ->
+  unit
+(** [exec ~tls_enter m] runs [m]'s program from [main] to its return,
+    advancing [m]'s clock, instruction count and output — the one
+    sequential machine, shared by profiling, plain runs and the TLS
+    master CPU. At a [Tls_enter stl] marker (after charging its cost)
+    it calls [tls_enter stl frame] with [m]'s counters up to date:
+    [Some (frame', pc)] resumes the current function in [frame'] at
+    [pc], having advanced [m] past the region; [None] falls through to
+    the next instruction.
+    @raise Out_of_fuel when the count exceeds [m]'s fuel;
+    @raise Machine.Trap on runtime errors (division by zero, negative
+    address, pc out of range). *)
+
 val run :
   ?sink:Trace.sink ->
   ?tracing:bool ->
@@ -25,4 +44,4 @@ val run :
 (** @param fuel maximum dynamic instructions (default 500 million);
     @raise Out_of_fuel if exceeded;
     @raise Machine.Trap on runtime errors (division by zero, negative
-    address). *)
+    address, pc out of range). *)

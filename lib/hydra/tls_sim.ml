@@ -18,7 +18,7 @@ type result = {
   stats : spec_stats;
 }
 
-exception Out_of_fuel of int
+exception Out_of_fuel = Machine.Out_of_fuel
 
 type status =
   | Running
@@ -151,17 +151,6 @@ type mstats = {
   mutable m_sync_stalls : int;
 }
 
-(* copy the argument registers [args] of a call into the callee's slots *)
-let rec pass_args slots regs i = function
-  | [] -> ()
-  | r :: rest ->
-      slots.(i) <- regs.(r);
-      pass_args slots regs (i + 1) rest
-
-let rec arg_values regs = function
-  | [] -> []
-  | r :: rest -> regs.(r) :: arg_values regs rest
-
 let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     ?(obs = Obs.Sink.null) (p : Native.program) : result =
   (* With [sync], the speculation hardware learns the PCs of loads whose
@@ -170,11 +159,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
      is visible instead of restarting — the synchronization mechanism of
      the paper's citations [10]/[30]. The learned set persists across
      loop activations, like a violation-prediction table. *)
-  let mem = Machine.Memory.create ~heap_base:p.heap_base in
-  let output = ref [] in
-  let cycles = ref 0 in
-  let icount = ref 0 in
-  let frame_uid = ref 0 in
+  let m = Machine.start ~fuel p in
+  let mem = m.Machine.mem in
   let ms =
     {
       m_committed = 0;
@@ -187,20 +173,6 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     }
   in
   let sync_pcs : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let new_frame fidx ret_pc ret_reg args regs =
-    let f = p.funcs.(fidx) in
-    let slots = Array.make (max f.Native.nslots 1) Value.zero in
-    pass_args slots regs 0 args;
-    incr frame_uid;
-    {
-      Machine.fidx;
-      slots;
-      regs = Array.make (max f.Native.nregs 1) Value.zero;
-      ret_pc;
-      ret_reg;
-      uid = !frame_uid;
-    }
-  in
   let line_of addr = addr / config.Config.line_words in
   let ncpus = config.Config.num_cpus in
 
@@ -208,8 +180,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
   let run_speculative (plan : Native.stl_plan) (master : Machine.frame) :
       Machine.frame * int (* resume pc *) =
     ms.m_loops <- ms.m_loops + 1;
-    let spec_start = !cycles in
-    cycles := !cycles + config.Config.loop_startup;
+    let spec_start = m.Machine.cycles in
+    m.Machine.cycles <- spec_start + config.Config.loop_startup;
     let snapshot = Array.copy master.Machine.slots in
     (* master-side reduction accumulators start from the pre-loop values *)
     let red_acc =
@@ -221,16 +193,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     in
     let cpus =
       Array.init ncpus (fun _ ->
-          incr frame_uid;
           let base =
-            {
-              Machine.fidx = plan.Native.plan_func;
-              slots = Array.make (Array.length snapshot) Value.zero;
-              regs = Array.make nregs Value.zero;
-              ret_pc = -1;
-              ret_reg = None;
-              uid = !frame_uid;
-            }
+            Machine.new_frame m plan.Native.plan_func (-1) None [] [||]
           in
           let base_only = [ base ] in
           {
@@ -265,7 +229,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     let next_iter = ref 0 in
     let head_rank = ref 0 in
     let exit_pending = ref None in
-    let now = ref !cycles in
+    let now = ref m.Machine.cycles in
     let cpu_of rank = cpus.(slot_of.(rank land ring_mask)) in
     (* (re)start [t] at the top of its iteration with empty buffers *)
     let seed (t : cpu) =
@@ -403,7 +367,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
             ms.m_stalls <- ms.m_stalls + 1;
             if Obs.Sink.enabled obs then
               Obs.Sink.emit obs
-                (Obs.Event.Tls_overflow_stall { rank = t.rank; now = !cycles })
+                (Obs.Event.Tls_overflow_stall
+                   { rank = t.rank; now = m.Machine.cycles })
           end
         end
     in
@@ -412,8 +377,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       let frame = List.hd t.frames in
       let f = p.funcs.(frame.Machine.fidx) in
       let ins = f.Native.code.(t.pc) in
-      incr icount;
-      if !icount > fuel then raise (Out_of_fuel fuel);
+      m.Machine.icount <- m.Machine.icount + 1;
+      if m.Machine.icount > fuel then raise (Out_of_fuel fuel);
       fwd_delay := 0;
       let regs = frame.Machine.regs in
       let slots = frame.Machine.slots in
@@ -467,10 +432,11 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
                  (Machine.Memory.alloc ~kind mem (Value.to_int regs.(nreg)));
              t.pc <- next
          | Native.Call (ret_reg, callee, args) ->
-             t.frames <- new_frame callee next ret_reg args regs :: t.frames;
+             t.frames <-
+               Machine.new_frame m callee next ret_reg args regs :: t.frames;
              t.pc <- 0
          | Native.Builtin (d, b, args) ->
-             regs.(d) <- Machine.eval_builtin b (arg_values regs args);
+             regs.(d) <- Machine.eval_builtin b (Machine.arg_values regs args);
              t.pc <- next
          | Native.Print (_, r) ->
              t.pending_output <- regs.(r) :: t.pending_output;
@@ -526,10 +492,11 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
         (fun (slot, op, acc) ->
           acc := Machine.reduction_merge op !acc t.base.Machine.slots.(slot))
         red_acc;
-      output := t.pending_output @ !output;
+      m.Machine.output <- t.pending_output @ m.Machine.output;
       ms.m_committed <- ms.m_committed + 1;
       if Obs.Sink.enabled obs then
-        Obs.Sink.emit obs (Obs.Event.Tls_commit { rank = t.rank; now = !cycles })
+        Obs.Sink.emit obs
+          (Obs.Event.Tls_commit { rank = t.rank; now = m.Machine.cycles })
     in
     (* main speculation loop *)
     let result = ref None in
@@ -606,8 +573,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       end
     done;
     let base_frame, resume = Option.get !result in
-    cycles := !now + config.Config.loop_shutdown;
-    ms.m_spec_cycles <- ms.m_spec_cycles + (!cycles - spec_start);
+    m.Machine.cycles <- !now + config.Config.loop_shutdown;
+    ms.m_spec_cycles <- ms.m_spec_cycles + (m.Machine.cycles - spec_start);
     (* rebuild a frame whose regs/slots master will keep using *)
     let mf =
       {
@@ -620,87 +587,14 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
   in
 
   (* ---------------- sequential (master) execution ---------------- *)
-  let stack = ref [] in
-  let frame = ref (new_frame p.main (-1) None [] [||]) in
-  let pc = ref 0 in
-  let running = ref true in
-  while !running do
-    let f = p.funcs.(!frame.Machine.fidx) in
-    let ins = f.Native.code.(!pc) in
-    incr icount;
-    if !icount > fuel then raise (Out_of_fuel fuel);
-    cycles := !cycles + Native.instr_cost ins;
-    let regs = !frame.Machine.regs in
-    let slots = !frame.Machine.slots in
-    let next = !pc + 1 in
-    match ins with
-    | Native.Const (r, v) ->
-        regs.(r) <- v;
-        pc := next
-    | Native.Mov (d, s) ->
-        regs.(d) <- regs.(s);
-        pc := next
-    | Native.Unop (d, op, s) ->
-        regs.(d) <- Machine.eval_unop op regs.(s);
-        pc := next
-    | Native.Binop (d, op, a, b) ->
-        regs.(d) <- Machine.eval_binop op regs.(a) regs.(b);
-        pc := next
-    | Native.Ld_local (d, s) ->
-        regs.(d) <- slots.(s);
-        pc := next
-    | Native.St_local (s, r) ->
-        slots.(s) <- regs.(r);
-        pc := next
-    | Native.Ld_heap (d, a) ->
-        regs.(d) <- Machine.Memory.load mem (Value.to_int regs.(a));
-        pc := next
-    | Native.St_heap (a, s) ->
-        Machine.Memory.store mem (Value.to_int regs.(a)) regs.(s);
-        pc := next
-    | Native.Alloc (d, n, kind) ->
-        regs.(d) <-
-          Value.Int (Machine.Memory.alloc ~kind mem (Value.to_int regs.(n)));
-        pc := next
-    | Native.Call (ret_reg, callee, args) ->
-        stack := !frame :: !stack;
-        frame := new_frame callee next ret_reg args regs;
-        pc := 0
-    | Native.Builtin (d, b, args) ->
-        regs.(d) <- Machine.eval_builtin b (arg_values regs args);
-        pc := next
-    | Native.Print (_, r) ->
-        output := regs.(r) :: !output;
-        pc := next
-    | Native.Jump t -> pc := t
-    | Native.Branch (r, a, b) -> pc := (if Value.truthy regs.(r) then a else b)
-    | Native.Return rv -> (
-        let v = Option.map (fun r -> regs.(r)) rv in
-        match !stack with
-        | [] -> running := false
-        | caller :: rest ->
-            (match (!frame.Machine.ret_reg, v) with
-            | Some d, Some v -> caller.Machine.regs.(d) <- v
-            | Some d, None -> caller.Machine.regs.(d) <- Value.zero
-            | None, _ -> ());
-            pc := !frame.Machine.ret_pc;
-            frame := caller;
-            stack := rest)
-    | Native.Sloop _ | Native.Eloop _ | Native.Eoi _ | Native.Read_stats _
-    | Native.Lwl _ | Native.Swl _ ->
-        pc := next
-    | Native.Tls_iter_end _ | Native.Tls_exit _ -> pc := next
-    | Native.Tls_enter stl -> (
-        match List.assoc_opt stl p.stl_plans with
-        | Some plan when plan.Native.plan_func = !frame.Machine.fidx ->
-            let mf, resume = run_speculative plan !frame in
-            frame := mf;
-            pc := resume
-        | _ -> pc := next)
-  done;
+  Seq_interp.exec m ~tls_enter:(fun stl frame ->
+      match List.assoc_opt stl p.stl_plans with
+      | Some plan when plan.Native.plan_func = frame.Machine.fidx ->
+          Some (run_speculative plan frame)
+      | _ -> None);
   {
-    cycles = !cycles;
-    output = List.rev !output;
+    cycles = m.Machine.cycles;
+    output = List.rev m.Machine.output;
     memory = mem;
     stats =
       {

@@ -1,8 +1,9 @@
 (** Speculative execution of a TLS-compiled program on the 4-CPU Hydra
     model.
 
-    Sequential code runs on one CPU. At a [Tls_enter] marker whose STL
-    has a plan, the loop is executed as speculative threads — one loop
+    Sequential code runs on one CPU, on {!Seq_interp.exec} — the same
+    machine as a plain run. At a [Tls_enter] marker whose STL has a
+    plan, the loop is executed as speculative threads — one loop
     iteration per thread, up to [config.num_cpus] in flight:
 
     - each thread runs against a private speculative write buffer; loads
@@ -59,6 +60,8 @@ val run :
     delays those loads until the producer's store is visible instead of
     restarting — the violation-minimizing mechanism of the paper's
     citations [10]/[30] (Cintra-Torrellas / Steffan et al.).
+    @raise Out_of_fuel if the instruction count exceeds [fuel] (the
+    same exception as {!Seq_interp.Out_of_fuel});
     @raise Machine.Trap only for traps reached non-speculatively
     (speculative traps — including a misspeculated heap access to a
     negative address — squash silently with the thread). *)

@@ -96,28 +96,6 @@ end
 
 let max_frame = 1 lsl 30
 
-let rec restart_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
-
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = restart_eintr (fun () -> Unix.write fd bytes !pos (len - !pos)) in
-    if n <= 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
-    pos := !pos + n
-  done
-
-let read_exact_opt fd n =
-  let buf = Bytes.create n in
-  let pos = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !pos < n do
-    let k = restart_eintr (fun () -> Unix.read fd buf !pos (n - !pos)) in
-    if k = 0 then eof := true else pos := !pos + k
-  done;
-  if !pos = n then Some buf else None
-
 let frame_bytes json =
   let payload = Obs.Json.to_string json in
   let n = String.length payload in
@@ -126,18 +104,18 @@ let frame_bytes json =
   Bytes.blit_string payload 0 b 8 n;
   b
 
-let write_frame fd json = write_all fd (frame_bytes json)
+let write_frame fd json = Scheduler.write_all fd (frame_bytes json)
 
 let read_frame fd =
-  match read_exact_opt fd 8 with
-  | None -> None
-  | Some hdr -> (
+  match Scheduler.read_exact fd 8 with
+  | Eof | Truncated -> None
+  | Complete hdr -> (
       let len = Int64.to_int (Bytes.get_int64_le hdr 0) in
       if len < 0 || len > max_frame then
         fail "Jrpm.Daemon: oversized frame (%d bytes)" len;
-      match read_exact_opt fd len with
-      | None -> fail "Jrpm.Daemon: truncated frame"
-      | Some payload -> Some (Obs.Json.parse_exn (Bytes.to_string payload)))
+      match Scheduler.read_exact fd len with
+      | Eof | Truncated -> fail "Jrpm.Daemon: truncated frame"
+      | Complete payload -> Some (Obs.Json.parse_exn (Bytes.to_string payload)))
 
 (* ---------------- request / response codec ---------------- *)
 
@@ -676,7 +654,9 @@ let on_completion srv (c : task_result Scheduler.Pool.completion) =
 (* One readable client fd: accumulate, then peel off complete frames. *)
 let feed_conn srv conn =
   let chunk = Bytes.create 65536 in
-  (match restart_eintr (fun () -> Unix.read conn.in_fd chunk 0 65536) with
+  (match
+     Scheduler.restart_eintr (fun () -> Unix.read conn.in_fd chunk 0 65536)
+   with
   | 0 -> close_conn srv conn
   | n -> Buffer.add_subbytes conn.inbuf chunk 0 n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -816,7 +796,8 @@ let serve ?(jobs = 1) transport =
             srv.conns
         in
         let readable, writable, _ =
-          restart_eintr (fun () -> Unix.select read_set write_set [] (-1.))
+          Scheduler.restart_eintr (fun () ->
+              Unix.select read_set write_set [] (-1.))
         in
         (* pool completions first: a completed request's response can
            ride the same writability event *)
@@ -829,7 +810,7 @@ let serve ?(jobs = 1) transport =
         List.iter (on_completion srv) (Scheduler.Pool.poll srv.pool);
         (match listen_fd with
         | Some lfd when List.mem lfd readable -> (
-            match restart_eintr (fun () -> Unix.accept lfd) with
+            match Scheduler.restart_eintr (fun () -> Unix.accept lfd) with
             | fd, _ ->
                 Unix.set_nonblock fd;
                 srv.conns <- make_conn fd :: srv.conns;

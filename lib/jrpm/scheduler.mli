@@ -209,3 +209,20 @@ module Pool : sig
   (** Close every task pipe (workers exit on EOF) and reap the pool.
       Idempotent. In-flight results are discarded. *)
 end
+
+(** {2 Framed messages over raw fds}
+
+    The pipe framing of {!Pool}, shared with the daemon's sockets. *)
+
+val restart_eintr : (unit -> 'a) -> 'a
+(** [f ()], retried for as long as it fails with [EINTR]. *)
+
+val write_all : Unix.file_descr -> Bytes.t -> unit
+(** Write every byte, retrying short writes.
+    @raise Unix.Unix_error [EPIPE] when a write makes no progress. *)
+
+type 'a read_outcome = Complete of 'a | Eof | Truncated
+
+val read_exact : Unix.file_descr -> int -> Bytes.t read_outcome
+(** Read exactly [n] bytes: [Eof] when the fd ends before the first
+    byte (a frame boundary), [Truncated] when it ends after it. *)

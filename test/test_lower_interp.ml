@@ -98,12 +98,11 @@ let test_trap_div_zero () =
     (fun () -> ignore (run_outputs "def main() { int z = 0; print_int(1 / z); }"))
 
 let test_trap_negative_address () =
-  try
-    ignore
-      (run_outputs "int[] a; def main() { a = new int[2]; print_int(a[-5]); }")
-    (* a[-5] reads payload-5; if that is still >= 0 it reads garbage (0)
-       rather than trapping, which is also acceptable *)
-  with Hydra.Machine.Trap _ | Invalid_argument _ -> ()
+  Alcotest.check_raises "negative address"
+    (Hydra.Machine.Trap "load from a negative address") (fun () ->
+      ignore
+        (run_outputs
+           "int[] a; def main() { a = new int[2]; print_int(a[-100000]); }"))
 
 let test_cycles_positive () =
   let prog, _ =

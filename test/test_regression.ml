@@ -398,34 +398,37 @@ let test_tolerance_validation () =
   let z = R.tolerance_of_fail_pct 0. in
   Alcotest.(check (float 1e-9)) "zero allowed (exact gate)" 0. z.R.fail_pct
 
+(* Run [cmd] through the shell; require exit status 2 and [needle] on
+   stderr. *)
+let check_cli what ~needle cmd =
+  let errfile = Filename.temp_file "jrpm_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove errfile with Sys_error _ -> ())
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s >/dev/null 2>%s" cmd (Filename.quote errfile))
+      in
+      Alcotest.(check int) (what ^ ": exit code") 2 code;
+      let ic = open_in errfile in
+      let err = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check bool)
+        (what ^ ": stderr names it: " ^ err)
+        true
+        (let n = String.length needle and h = String.length err in
+         let rec go i =
+           i + n <= h && (String.sub err i n = needle || go (i + 1))
+         in
+         go 0))
+
+let jrpm = "../bin/jrpm_cli.exe"
+
 (* `jrpm sweep` must reject a bad --tolerance, a bad --jobs, and a
    diff-only flag alongside --update-baseline with exit 2 and a message
    naming the flag, BEFORE doing any sweep work — spawn the built
    binary. (Validation precedes the sweep, so these are fast.) *)
 let test_cli_tolerance_rejected () =
-  let check_cli what ~needle cmd =
-    let errfile = Filename.temp_file "jrpm_tolerance" ".err" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove errfile with Sys_error _ -> ())
-      (fun () ->
-        let code =
-          Sys.command
-            (Printf.sprintf "%s >/dev/null 2>%s" cmd (Filename.quote errfile))
-        in
-        Alcotest.(check int) (what ^ ": exit code") 2 code;
-        let ic = open_in errfile in
-        let err = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Alcotest.(check bool)
-          (what ^ ": names the flag: " ^ err)
-          true
-          (let n = String.length needle and h = String.length err in
-           let rec go i =
-             i + n <= h && (String.sub err i n = needle || go (i + 1))
-           in
-           go 0))
-  in
-  let jrpm = "../bin/jrpm_cli.exe" in
   if Sys.file_exists jrpm then begin
     let bad_tolerance = "--tolerance must be a non-negative percentage" in
     check_cli "jrpm sweep negative" ~needle:bad_tolerance
@@ -446,6 +449,22 @@ let test_cli_tolerance_rejected () =
       [ ("--tolerance", "3"); ("--diff-json", "diff.json"); ("--trend", "t.jsonl") ]
   end
 
+(* A runtime fault in the program being run is a trap report and exit
+   status 2, never an uncaught exception. *)
+let test_cli_runtime_trap () =
+  if Sys.file_exists jrpm then begin
+    let src = Filename.temp_file "jrpm_trap" ".jvl" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove src with Sys_error _ -> ())
+      (fun () ->
+        let oc = open_out src in
+        output_string oc
+          "int[] a; def main() { a = new int[2]; print_int(a[-100000]); }\n";
+        close_out oc;
+        check_cli "jrpm run negative address" ~needle:"runtime trap"
+          (Printf.sprintf "%s run %s" jrpm (Filename.quote src)))
+  end
+
 let suites =
   [
     ( "regression.classify",
@@ -463,6 +482,8 @@ let suites =
           test_tolerance_validation;
         Alcotest.test_case "jrpm sweep rejects bad --tolerance" `Quick
           test_cli_tolerance_rejected;
+        Alcotest.test_case "jrpm run traps a negative address" `Quick
+          test_cli_runtime_trap;
       ] );
     ( "regression.codec",
       [

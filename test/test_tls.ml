@@ -409,6 +409,40 @@ let test_empty_selection () =
     (List.map Ir.Value.to_string tr.Hydra.Tls_sim.output);
   Alcotest.(check int) "no speculation" 0 tr.Hydra.Tls_sim.stats.loops_entered
 
+(* The TLS master CPU is the sequential interpreter: with nothing
+   selected, every registry workload costs exactly the cycles of a
+   plain run and prints the same values. *)
+let test_master_is_seq_interp () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let plain, tls =
+        compile_both ~selected:[] (Workloads.Registry.default_source w)
+      in
+      let sr = Hydra.Seq_interp.run plain in
+      let tr = Hydra.Tls_sim.run tls in
+      let name = w.Workloads.Workload.name in
+      Alcotest.(check int) (name ^ " cycles") sr.Hydra.Seq_interp.cycles
+        tr.Hydra.Tls_sim.cycles;
+      Alcotest.(check (list string))
+        (name ^ " output")
+        (List.map Ir.Value.to_string sr.Hydra.Seq_interp.output)
+        (List.map Ir.Value.to_string tr.Hydra.Tls_sim.output))
+    Workloads.Registry.all
+
+(* The simulator's fuel is the sequential interpreter's: one exception,
+   raised from the master loop and from a speculative thread alike. *)
+let test_out_of_fuel () =
+  let src = "def main() { int i = 0; while (1) { i = i + 1; } }" in
+  let _, master = compile_both ~selected:[] src in
+  let _, spec = compile_both src in
+  Alcotest.(check bool) "loop selected" true
+    (spec.Hydra.Native.stl_plans <> []);
+  List.iter
+    (fun (what, prog) ->
+      Alcotest.check_raises what (Hydra.Seq_interp.Out_of_fuel 10_000)
+        (fun () -> ignore (Hydra.Tls_sim.run ~fuel:10_000 prog)))
+    [ ("master loop", master); ("speculative loop", spec) ]
+
 (* Learned synchronization (the [~sync:true] extension): correctness is
    preserved and violations drop on a store-early / load-late chain. *)
 let sync_src =
@@ -526,6 +560,9 @@ let suites =
         Alcotest.test_case "non-reentrant nesting" `Quick
           test_non_reentrant_nesting;
         Alcotest.test_case "empty selection" `Quick test_empty_selection;
+        Alcotest.test_case "master is the sequential interpreter" `Quick
+          test_master_is_seq_interp;
+        Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
       ] );
     ( "tls.sync",
       [
