@@ -745,8 +745,8 @@ let tracer_bench ~smoke () =
 (* Trace-store benchmark (`bench -- replay [--smoke]`): capture real
    workloads into an in-memory container once, then time the two ways
    of producing a workload's Report_summary — the full interpretation
-   pipeline ({!Jrpm.Pipeline.run}: frontend, plain + annotated + base
-   runs, analysis, codegen, TLS simulation) vs replaying the recorded
+   pipeline ({!Jrpm.Pipeline.run}: frontend, the one profiled run,
+   analysis, codegen, TLS simulation) vs replaying the recorded
    stream into a fresh tracer + analyzer ({!Jrpm.Replay.replay_string}),
    which yields the byte-identical summary. Replay must win by a wide
    margin; the checked-in floor below is the CI gate, far under the

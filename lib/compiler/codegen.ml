@@ -15,6 +15,13 @@ type pre =
   | PBranch of N.reg * target * target
   | PReturn of N.reg option
 
+type site = {
+  pc : int;
+  plain_gap : int;
+  base_locals : int;
+  base_read_stats : int;
+}
+
 (* ------------------------------------------------------------------ *)
 (* Per-function codegen context *)
 
@@ -31,6 +38,8 @@ type ctx = {
   buf : pre list ref;
   mutable emitted : int;
   block_start : int array;
+  (* annotated builds: site accounting by function-local pc *)
+  sites : (int, site) Hashtbl.t;
 }
 
 let fresh_reg ctx =
@@ -38,7 +47,22 @@ let fresh_reg ctx =
   ctx.next_reg <- r + 1;
   r
 
+let add_site ctx pc f =
+  let s =
+    match Hashtbl.find_opt ctx.sites pc with
+    | Some s -> s
+    | None -> { pc; plain_gap = 0; base_locals = 0; base_read_stats = 0 }
+  in
+  Hashtbl.replace ctx.sites pc (f s)
+
+(* Every annotation instruction is a site; it costs its own cycles,
+   which the plain build lacks. *)
 let emit ctx p =
+  (match p with
+  | PI i when N.is_annotation i ->
+      add_site ctx ctx.emitted (fun s ->
+          { s with plain_gap = s.plain_gap + N.instr_cost i })
+  | _ -> ());
   ctx.buf := p :: !(ctx.buf);
   ctx.emitted <- ctx.emitted + 1
 
@@ -81,8 +105,8 @@ let entered_loops ctx u v =
 
 (* Statistics-read hoisting (paper Sec. 5.1): in optimized mode a loop's
    read-statistics call is hoisted to its parent when it is the parent's
-   only child loop. [stats_read_at ctx i] = STLs whose statistics are
-   read on loop [i]'s exit edges. *)
+   only child loop. [stats_read_at ctx ~hoist i] = STLs whose statistics
+   are read on loop [i]'s exit edges. *)
 let hoisted_to_parent ctx i =
   match (loop_arr ctx).(i).Cfg.Loops.parent with
   | Some p -> List.length (loop_arr ctx).(p).Cfg.Loops.children = 1
@@ -96,11 +120,72 @@ let rec collect_hoisted ctx i =
   | [ c ] when hoisted_to_parent ctx c -> collect_hoisted ctx c
   | _ -> [])
 
-let stats_read_at ctx i =
-  match ctx.mode with
-  | Annotated { optimized = true } ->
-      if hoisted_to_parent ctx i then [] else collect_hoisted ctx i
-  | _ -> [ i ]
+let stats_read_at ctx ~hoist i =
+  if not hoist then [ i ]
+  else if hoisted_to_parent ctx i then []
+  else collect_hoisted ctx i
+
+(* The annotations on edge [u -> v]: [eloop] (then its statistics reads)
+   per exited traced loop, [eoi] per back edge, [sloop] per entered
+   loop. *)
+let annotated_stub ctx ~hoist u v : N.instr list =
+  let out = ref [] in
+  let add i = out := i :: !out in
+  List.iter
+    (fun i ->
+      match ctx.stl_of_loop i with
+      | Some s when s.Stl_table.traced ->
+          add (N.Eloop s.Stl_table.id);
+          List.iter
+            (fun j ->
+              match ctx.stl_of_loop j with
+              | Some sj when sj.Stl_table.traced ->
+                  add (N.Read_stats sj.Stl_table.id)
+              | _ -> ())
+            (stats_read_at ctx ~hoist i)
+      | _ -> ())
+    (exited_loops ctx u v);
+  List.iter
+    (fun i ->
+      match ctx.stl_of_loop i with
+      | Some s when s.Stl_table.traced -> add (N.Eoi s.Stl_table.id)
+      | _ -> ())
+    (back_edge_loops ctx u v);
+  List.iter
+    (fun i ->
+      match ctx.stl_of_loop i with
+      | Some s when s.Stl_table.traced ->
+          add
+            (N.Sloop (s.Stl_table.id, List.length s.Stl_table.annotated_slots))
+      | _ -> ())
+    (entered_loops ctx u v);
+  List.rev !out
+
+(* The annotations before a return from block [b]: every containing
+   traced loop is exited. *)
+let annotated_return ctx ~hoist b : N.instr list =
+  List.concat_map
+    (fun i ->
+      match ctx.stl_of_loop i with
+      | Some s when s.Stl_table.traced ->
+          N.Eloop s.Stl_table.id
+          :: List.filter_map
+               (fun j ->
+                 match ctx.stl_of_loop j with
+                 | Some sj when sj.Stl_table.traced ->
+                     Some (N.Read_stats sj.Stl_table.id)
+                 | _ -> None)
+               (stats_read_at ctx ~hoist i)
+      | _ -> [])
+    (loops_containing ctx b)
+
+(* Read-statistics cycles the base (unhoisted) build spends per
+   execution of an annotation sequence, minus those [instrs] spends. *)
+let base_read_stats_delta ~base instrs =
+  let reads l =
+    List.length (List.filter (function N.Read_stats _ -> true | _ -> false) l)
+  in
+  (reads base - reads instrs) * Hydra.Cost.cost_read_stats
 
 (* ------------------------------------------------------------------ *)
 (* Stub construction *)
@@ -161,59 +246,13 @@ let annotation_stub_instrs ctx u v : N.instr list =
           end)
         (entered_loops ctx u v);
       List.rev !out
-  | Annotated _ ->
-      let out = ref [] in
-      let add i = out := i :: !out in
-      List.iter
-        (fun i ->
-          match ctx.stl_of_loop i with
-          | Some s when s.Stl_table.traced ->
-              add (N.Eloop s.Stl_table.id);
-              List.iter
-                (fun j ->
-                  match ctx.stl_of_loop j with
-                  | Some sj when sj.Stl_table.traced ->
-                      add (N.Read_stats sj.Stl_table.id)
-                  | _ -> ())
-                (stats_read_at ctx i)
-          | _ -> ())
-        (exited_loops ctx u v);
-      List.iter
-        (fun i ->
-          match ctx.stl_of_loop i with
-          | Some s when s.Stl_table.traced -> add (N.Eoi s.Stl_table.id)
-          | _ -> ())
-        (back_edge_loops ctx u v);
-      List.iter
-        (fun i ->
-          match ctx.stl_of_loop i with
-          | Some s when s.Stl_table.traced ->
-              add
-                (N.Sloop
-                   (s.Stl_table.id, List.length s.Stl_table.annotated_slots))
-          | _ -> ())
-        (entered_loops ctx u v);
-      List.rev !out
+  | Annotated { optimized } -> annotated_stub ctx ~hoist:optimized u v
 
 (* Instructions to emit before a Return from block [b]. *)
 let return_prefix ctx b : N.instr list =
   match ctx.mode with
   | Plain -> []
-  | Annotated _ ->
-      List.concat_map
-        (fun i ->
-          match ctx.stl_of_loop i with
-          | Some s when s.Stl_table.traced ->
-              N.Eloop s.Stl_table.id
-              :: List.filter_map
-                   (fun j ->
-                     match ctx.stl_of_loop j with
-                     | Some sj when sj.Stl_table.traced ->
-                         Some (N.Read_stats sj.Stl_table.id)
-                     | _ -> None)
-                   (stats_read_at ctx i)
-          | _ -> [])
-        (loops_containing ctx b)
+  | Annotated { optimized } -> annotated_return ctx ~hoist:optimized b
   | Tls { selected } ->
       List.concat_map
         (fun i ->
@@ -292,14 +331,21 @@ let translate_instr ctx b ~annotated_loads (i : Tac.instr) : N.instr list =
           [ N.Const (ra, Value.Int addr); N.Ld_heap (r, ra) ]
       | None ->
           if slot_needs_annotation ctx b s then begin
+            (* [annotated_loads] maps a slot to its block's surviving
+               [lwl]; the base build annotates each load this dedup
+               drops, at the cost of one more [lwl] per execution *)
             let annotate =
               match ctx.mode with
-              | Annotated { optimized = true } ->
-                  if Hashtbl.mem annotated_loads s then false
-                  else begin
-                    Hashtbl.replace annotated_loads s ();
-                    true
-                  end
+              | Annotated { optimized = true } -> (
+                  match Hashtbl.find_opt annotated_loads s with
+                  | Some lwl_pc ->
+                      add_site ctx lwl_pc (fun site ->
+                          let cost = N.instr_cost (N.Lwl s) in
+                          { site with base_locals = site.base_locals + cost });
+                      false
+                  | None ->
+                      Hashtbl.replace annotated_loads s ctx.emitted;
+                      true)
               | _ -> true
             in
             if annotate then [ N.Lwl s; N.Ld_local (r, s) ]
@@ -344,11 +390,27 @@ let make_ctx ~mode ~table (f : Tac.func) : ctx =
     buf = ref [];
     emitted = 0;
     block_start = Array.make (Array.length f.blocks) (-1);
+    sites = Hashtbl.create 16;
   }
 let emit_func ctx ~carried_addr ~func_idx =
   Hashtbl.iter (fun k v -> Hashtbl.replace ctx.carried_addr k v) carried_addr;
   let f = ctx.f in
   let nblocks = Array.length f.blocks in
+  let annotated = match ctx.mode with Annotated _ -> true | _ -> false in
+  (* The first annotation of a stub or return prefix also carries the
+     sequence's base-minus-this read-statistics cycles, and a stub's
+     closing jump, which the plain build lacks. *)
+  let open_sequence ~jump ~base instrs =
+    if annotated && instrs <> [] then
+      add_site ctx ctx.emitted (fun s ->
+          {
+            s with
+            plain_gap =
+              (s.plain_gap + if jump then N.instr_cost (N.Jump 0) else 0);
+            base_read_stats =
+              s.base_read_stats + base_read_stats_delta ~base instrs;
+          })
+  in
   (* Pre-allocate stub ids per edge needing one. *)
   let edge_stub : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
   let stub_bodies = ref [] in
@@ -361,7 +423,10 @@ let emit_func ctx ~carried_addr ~func_idx =
           let id = !n_stubs in
           incr n_stubs;
           Hashtbl.replace edge_stub (u, v) id;
-          stub_bodies := (id, instrs, v) :: !stub_bodies
+          let base =
+            if annotated then annotated_stub ctx ~hoist:false u v else []
+          in
+          stub_bodies := (id, instrs, base, v) :: !stub_bodies
         end)
       (Tac.successors f.blocks.(u).term)
   done;
@@ -386,14 +451,20 @@ let emit_func ctx ~carried_addr ~func_idx =
     | Tac.Jump l -> emit ctx (PJump (target_of b l))
     | Tac.Branch (r, a, bb) -> emit ctx (PBranch (r, target_of b a, target_of b bb))
     | Tac.Return rv ->
-        List.iter (fun ni -> emit ctx (PI ni)) (return_prefix ctx b);
+        let prefix = return_prefix ctx b in
+        let base =
+          if annotated then annotated_return ctx ~hoist:false b else []
+        in
+        open_sequence ~jump:false ~base prefix;
+        List.iter (fun ni -> emit ctx (PI ni)) prefix;
         emit ctx (PReturn rv)
   done;
   (* Emit stubs. *)
   let stub_start = Array.make !n_stubs (-1) in
   List.iter
-    (fun (id, instrs, v) ->
+    (fun (id, instrs, base, v) ->
       stub_start.(id) <- ctx.emitted;
+      open_sequence ~jump:true ~base instrs;
       List.iter (fun ni -> emit ctx (PI ni)) instrs;
       emit ctx (PJump (TBlock v)))
     (List.rev !stub_bodies);
@@ -428,9 +499,11 @@ let emit_func ctx ~carried_addr ~func_idx =
       code;
       pc_base = 0 (* assigned at program assembly *);
     },
-    header_pcs )
+    header_pcs,
+    ctx.sites )
 
-let generate ~mode (table : Stl_table.t) (p : Tac.program) : N.program =
+let generate_with_sites ~mode (table : Stl_table.t) (p : Tac.program) :
+    N.program * site array =
   let names = List.map fst p.funcs in
   let func_idx name =
     let rec idx i = function
@@ -484,7 +557,7 @@ let generate ~mode (table : Stl_table.t) (p : Tac.program) : N.program =
   let funcs =
     Array.of_list
       (List.map
-         (fun ((f : N.func), _) ->
+         (fun ((f : N.func), _, _) ->
            let f = { f with N.pc_base = !base } in
            base := !base + Array.length f.N.code;
            f)
@@ -498,7 +571,7 @@ let generate ~mode (table : Stl_table.t) (p : Tac.program) : N.program =
           (fun id ->
             let s = Stl_table.stl_of table id in
             let fi = func_idx s.Stl_table.func_name in
-            let _, header_pcs = List.nth funcs_and_pcs fi in
+            let _, header_pcs, _ = List.nth funcs_and_pcs fi in
             let body_start = List.assoc s.Stl_table.loop_idx header_pcs in
             let inductors = ref [] and reductions = ref [] in
             let globalized = ref [] and invariants = ref [] in
@@ -533,13 +606,25 @@ let generate ~mode (table : Stl_table.t) (p : Tac.program) : N.program =
           selected
     | _ -> []
   in
-  {
-    N.funcs;
-    main = func_idx "main";
-    globals = p.globals;
-    heap_base = !heap_base;
-    stl_plans;
-  }
+  let sites =
+    List.concat
+      (List.map2
+         (fun (f : N.func) (_, _, local) ->
+           Hashtbl.fold
+             (fun _ s acc -> { s with pc = f.N.pc_base + s.pc } :: acc)
+             local [])
+         (Array.to_list funcs) funcs_and_pcs)
+  in
+  ( {
+      N.funcs;
+      main = func_idx "main";
+      globals = p.globals;
+      heap_base = !heap_base;
+      stl_plans;
+    },
+    Array.of_list (List.sort (fun a b -> compare a.pc b.pc) sites) )
+
+let generate ~mode table p = fst (generate_with_sites ~mode table p)
 
 let compile_source ~mode src =
   let tac = Lower.compile src in

@@ -25,5 +25,35 @@ type mode =
 
 val generate : mode:mode -> Stl_table.t -> Ir.Tac.program -> Hydra.Native.program
 
+(** What one execution of an annotation instruction stands for in the
+    other two builds. An annotated build is the plain build plus its
+    annotations plus one closing [jump] per edge stub, and it differs
+    from the base build only in the [lwl]s that per-block dedup drops
+    and the read-statistics calls that hoisting moves. Sequential cost
+    is static per instruction ({!Hydra.Native.instr_cost}), so with
+    [n pc] executions of each site,
+    [plain = this - Σ n·plain_gap] and
+    [base = this + Σ n·(base_locals + base_read_stats)], exactly. *)
+type site = {
+  pc : int;               (** program-wide PC of an annotation instruction *)
+  plain_gap : int;
+      (** cycles the plain build lacks per execution: the annotation's
+          own cost, plus the closing [jump] on a stub's first one *)
+  base_locals : int;
+      (** base-minus-this [lwl] cycles per execution: on a surviving
+          [lwl], one [lwl] per same-slot load later in its block *)
+  base_read_stats : int;
+      (** base-minus-this read-statistics cycles per execution, on the
+          first annotation of a stub or return prefix (signed: hoisting
+          can read more often than the base build) *)
+}
+
+val generate_with_sites :
+  mode:mode -> Stl_table.t -> Ir.Tac.program -> Hydra.Native.program * site array
+(** {!generate} plus the build's site table, sorted by PC: one entry per
+    annotation instruction of an [Annotated] build (so none for [Plain]
+    or [Tls], and zero [base_*] fields for the base build itself). The
+    program is exactly {!generate}'s. *)
+
 val compile_source : mode:mode -> string -> Hydra.Native.program * Stl_table.t
 (** Convenience: parse + typecheck + lower + build STL table + generate. *)

@@ -75,6 +75,14 @@ let func_index (p : program) name =
   Array.iteri (fun i f -> if f.name = name then found := i) p.funcs;
   if !found < 0 then invalid_arg ("Native.func_index: " ^ name) else !found
 
+(** Number of program-wide PCs: one past the last instruction's. *)
+let code_size (p : program) =
+  Array.fold_left (fun n f -> n + Array.length f.code) 0 p.funcs
+
+let is_annotation = function
+  | Sloop _ | Eloop _ | Eoi _ | Read_stats _ | Lwl _ | Swl _ -> true
+  | _ -> false
+
 let instr_cost (i : instr) : int =
   match i with
   | Const _ | Mov _ -> Cost.cost_simple

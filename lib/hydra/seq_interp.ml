@@ -5,6 +5,7 @@ type result = {
   output : Value.t list;
   memory : Machine.Memory.t;
   instructions : int;
+  site_counts : int array;
 }
 
 exception Out_of_fuel = Machine.Out_of_fuel
@@ -12,10 +13,16 @@ exception Out_of_fuel = Machine.Out_of_fuel
 (* The clock and the instruction count live in local refs (registers,
    without flambda) and reach [m] only around [tls_enter] and at exit:
    writing the record fields on every instruction costs ~10% of the
-   plain loop. *)
-let exec ?(sink = Trace.null_sink) ?(tracing = false) ~tls_enter
-    (m : Machine.run) =
+   plain loop. Annotation sites are counted only in the annotation arms
+   of a tracing run, so neither the plain loop nor the TLS master loop
+   touches [site_counts]. *)
+let exec ?(sink = Trace.null_sink) ?(tracing = false) ?(site_counts = [||])
+    ~tls_enter (m : Machine.run) =
   let p = m.Machine.prog in
+  let count_site f pc =
+    let i = f.Native.pc_base + pc in
+    site_counts.(i) <- site_counts.(i) + 1
+  in
   let mem = m.Machine.mem in
   let fuel = m.Machine.fuel in
   let cycles = ref m.Machine.cycles in
@@ -106,28 +113,43 @@ let exec ?(sink = Trace.null_sink) ?(tracing = false) ~tls_enter
             frame := caller;
             stack := rest)
     | Native.Sloop (stl, nlocals) ->
-        if tracing then
+        if tracing then begin
+          count_site f !pc;
           sink.Trace.on_sloop ~stl ~nlocals ~frame:!frame.Machine.uid
-            ~now:!cycles;
+            ~now:!cycles
+        end;
         pc := next
     | Native.Eloop stl ->
-        if tracing then sink.Trace.on_eloop ~stl ~now:!cycles;
+        if tracing then begin
+          count_site f !pc;
+          sink.Trace.on_eloop ~stl ~now:!cycles
+        end;
         pc := next
     | Native.Eoi stl ->
-        if tracing then sink.Trace.on_eoi ~stl ~now:!cycles;
+        if tracing then begin
+          count_site f !pc;
+          sink.Trace.on_eoi ~stl ~now:!cycles
+        end;
         pc := next
     | Native.Read_stats stl ->
-        if tracing then sink.Trace.on_read_stats ~stl ~now:!cycles;
+        if tracing then begin
+          count_site f !pc;
+          sink.Trace.on_read_stats ~stl ~now:!cycles
+        end;
         pc := next
     | Native.Lwl s ->
-        if tracing then
+        if tracing then begin
+          count_site f !pc;
           sink.Trace.on_local_load ~frame:!frame.Machine.uid ~slot:s
-            ~pc:(f.pc_base + !pc) ~now:!cycles;
+            ~pc:(f.pc_base + !pc) ~now:!cycles
+        end;
         pc := next
     | Native.Swl s ->
-        if tracing then
+        if tracing then begin
+          count_site f !pc;
           sink.Trace.on_local_store ~frame:!frame.Machine.uid ~slot:s
-            ~now:!cycles;
+            ~now:!cycles
+        end;
         pc := next
     | Native.Tls_enter stl ->
         m.Machine.cycles <- !cycles;
@@ -144,12 +166,17 @@ let exec ?(sink = Trace.null_sink) ?(tracing = false) ~tls_enter
   m.Machine.cycles <- !cycles;
   m.Machine.icount <- !icount
 
-let run ?sink ?tracing ?(fuel = 500_000_000) (p : Native.program) : result =
+let run ?sink ?(tracing = false) ?(fuel = 500_000_000) (p : Native.program) :
+    result =
   let m = Machine.start ~fuel p in
-  exec ?sink ?tracing ~tls_enter:(fun _ _ -> None) m;
+  let site_counts =
+    if tracing then Array.make (Native.code_size p) 0 else [||]
+  in
+  exec ?sink ~tracing ~site_counts ~tls_enter:(fun _ _ -> None) m;
   {
     cycles = m.Machine.cycles;
     output = List.rev m.Machine.output;
     memory = m.Machine.mem;
     instructions = m.Machine.icount;
+    site_counts;
   }

@@ -13,6 +13,10 @@ type result = {
   output : Ir.Value.t list;      (** print_int / print_float values, in order *)
   memory : Machine.Memory.t;
   instructions : int;            (** dynamic instruction count *)
+  site_counts : int array;
+      (** executions of each annotation instruction, indexed by
+          program-wide PC (zero at every other PC); [[||]] unless
+          [~tracing:true] *)
 }
 
 exception Out_of_fuel of int
@@ -20,6 +24,7 @@ exception Out_of_fuel of int
 val exec :
   ?sink:Trace.sink ->
   ?tracing:bool ->
+  ?site_counts:int array ->
   tls_enter:(int -> Machine.frame -> (Machine.frame * int) option) ->
   Machine.run ->
   unit
@@ -30,7 +35,9 @@ val exec :
     it calls [tls_enter stl frame] with [m]'s counters up to date:
     [Some (frame', pc)] resumes the current function in [frame'] at
     [pc], having advanced [m] past the region; [None] falls through to
-    the next instruction.
+    the next instruction. With [~tracing:true] each executed annotation
+    instruction also increments its program-wide PC's cell of
+    [site_counts], which must then have {!Native.code_size} cells.
     @raise Out_of_fuel when the count exceeds [m]'s fuel;
     @raise Machine.Trap on runtime errors (division by zero, negative
     address, pc out of range). *)

@@ -35,8 +35,6 @@ type report = {
 
 (* Pipeline phase names, shared with ARCHITECTURE.md's JSON schema. *)
 let phase_frontend = "frontend"
-let phase_plain = "plain-run"
-let phase_profile_base = "profile-base"
 let phase_profile_opt = "profile-opt"
 let phase_analyze = "analyze"
 let phase_recompile = "recompile-tls"
@@ -45,119 +43,116 @@ let phase_tls = "tls-run"
 let phases =
   [
     phase_frontend;
-    phase_plain;
-    phase_profile_base;
     phase_profile_opt;
     phase_analyze;
     phase_recompile;
     phase_tls;
   ]
 
-let annotated_run ?tracer_config ?fuel ?(obs = Obs.Sink.null)
-    ?(wrap_sink = Fun.id) ~optimized ~plain_cycles table tac =
-  let prog =
-    Compiler.Codegen.generate ~mode:(Compiler.Codegen.Annotated { optimized })
+let frontend ~obs ~optimize src =
+  Obs.Sink.phase obs phase_frontend (fun () ->
+      let tac = Ir.Lower.compile src in
+      let tac = if optimize then Compiler.Opt.program tac else tac in
+      (tac, Compiler.Stl_table.build tac))
+
+(* an explicit tracer_config wins (tests exercise odd geometries);
+   otherwise the tracer models the same machine the analysis targets *)
+let tracer_config_for hw = function
+  | Some c -> c
+  | None -> Test_core.Tracer.config_of hw
+
+(* the capture tee wraps outermost, so the writer records the raw
+   interpreter stream — the same stream every pass-through wrapper
+   below it forwards to the tracer, hence what replay must feed back *)
+let capture_tee capture sink =
+  match capture with
+  | None -> sink
+  | Some w -> Hydra.Trace.tee sink (Trace_store.Writer.sink w)
+
+(* The one sequential execution: the optimized annotated build, traced.
+   Its per-site execution counts price the plain and base builds
+   exactly (see {!Compiler.Codegen.site}). *)
+type profiled = {
+  plain_cycles : int;
+  output : Ir.Value.t list;
+  base : anno_run;
+  opt : anno_run;
+  tracer : Test_core.Tracer.t;
+  prog : Hydra.Native.program;
+}
+
+let profiled_run ~hw ?tracer_config ?fuel ~obs ~wrap_sink table tac =
+  Obs.Sink.phase obs phase_profile_opt @@ fun () ->
+  let prog, sites =
+    Compiler.Codegen.generate_with_sites
+      ~mode:(Compiler.Codegen.Annotated { optimized = true })
       table tac
   in
-  let tracer = Test_core.Tracer.create ?config:tracer_config ~obs () in
+  let tracer =
+    Test_core.Tracer.create ~config:(tracer_config_for hw tracer_config) ~obs ()
+  in
   let counts = Counting_sink.create_counts () in
   let sink =
     wrap_sink (Counting_sink.wrap counts (Test_core.Tracer.sink tracer))
   in
   let r = Hydra.Seq_interp.run ?fuel ~tracing:true ~sink prog in
-  let run =
+  let executed = r.Hydra.Seq_interp.site_counts in
+  let total cycles_of =
+    Array.fold_left
+      (fun acc (site : Compiler.Codegen.site) ->
+        acc + (executed.(site.pc) * cycles_of site))
+      0 sites
+  in
+  let plain_cycles =
+    r.Hydra.Seq_interp.cycles - total (fun s -> s.Compiler.Codegen.plain_gap)
+  in
+  let slowdown cycles =
+    Float.of_int cycles /. Float.of_int (max 1 plain_cycles)
+  in
+  let opt =
     {
       cycles = r.Hydra.Seq_interp.cycles;
-      slowdown =
-        Float.of_int r.Hydra.Seq_interp.cycles /. Float.of_int (max 1 plain_cycles);
+      slowdown = slowdown r.Hydra.Seq_interp.cycles;
       locals_cycles = Counting_sink.locals_cycles counts;
       read_stats_cycles = Counting_sink.read_stats_cycles counts;
       loop_anno_cycles = Counting_sink.loop_cycles counts;
     }
   in
-  (run, tracer, prog)
+  let extra_locals = total (fun s -> s.Compiler.Codegen.base_locals) in
+  let extra_read_stats = total (fun s -> s.Compiler.Codegen.base_read_stats) in
+  let base_cycles = opt.cycles + extra_locals + extra_read_stats in
+  let base =
+    {
+      opt with
+      cycles = base_cycles;
+      slowdown = slowdown base_cycles;
+      locals_cycles = opt.locals_cycles + extra_locals;
+      read_stats_cycles = opt.read_stats_cycles + extra_read_stats;
+    }
+  in
+  { plain_cycles; output = r.Hydra.Seq_interp.output; base; opt; tracer; prog }
 
 let profile_only ?(hw = Hydra.Config.default) ?tracer_config ?fuel
     ?(obs = Obs.Sink.null) ?(optimize = true) ?capture src =
-  let tracer_config =
-    match tracer_config with
-    | Some c -> Some c
-    | None -> Some (Test_core.Tracer.config_of hw)
+  let tac, table = frontend ~obs ~optimize src in
+  let p =
+    profiled_run ~hw ?tracer_config ?fuel ~obs ~wrap_sink:(capture_tee capture)
+      table tac
   in
-  let tac, table =
-    Obs.Sink.phase obs phase_frontend (fun () ->
-        let tac = Ir.Lower.compile src in
-        let tac = if optimize then Compiler.Opt.program tac else tac in
-        (tac, Compiler.Stl_table.build tac))
-  in
-  let pr =
-    Obs.Sink.phase obs phase_plain (fun () ->
-        let plain =
-          Compiler.Codegen.generate ~mode:Compiler.Codegen.Plain table tac
-        in
-        Hydra.Seq_interp.run ?fuel plain)
-  in
-  let wrap_sink =
-    match capture with
-    | None -> Fun.id
-    | Some w -> fun s -> Hydra.Trace.tee s (Trace_store.Writer.sink w)
-  in
-  let _, tracer, _ =
-    Obs.Sink.phase obs phase_profile_opt (fun () ->
-        annotated_run ?tracer_config ?fuel ~obs ~wrap_sink ~optimized:true
-          ~plain_cycles:pr.Hydra.Seq_interp.cycles table tac)
-  in
-  (tracer, pr.Hydra.Seq_interp.cycles)
+  (p.tracer, p.plain_cycles)
 
 let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
     ?(obs = Obs.Sink.null) ?(optimize = true) ?capture ~name src : report =
-  (* an explicit tracer_config wins (tests exercise odd geometries);
-     otherwise the tracer models the same machine the analysis targets *)
-  let tracer_config =
-    match tracer_config with
-    | Some c -> Some c
-    | None -> Some (Test_core.Tracer.config_of hw)
-  in
-  let tac, table =
-    Obs.Sink.phase obs phase_frontend (fun () ->
-        let tac = Ir.Lower.compile src in
-        let tac = if optimize then Compiler.Opt.program tac else tac in
-        (tac, Compiler.Stl_table.build tac))
-  in
-  (* 1. plain sequential baseline *)
-  let pr =
-    Obs.Sink.phase obs phase_plain (fun () ->
-        let plain =
-          Compiler.Codegen.generate ~mode:Compiler.Codegen.Plain table tac
-        in
-        Hydra.Seq_interp.run ?fuel plain)
-  in
-  let plain_cycles = pr.Hydra.Seq_interp.cycles in
-  (* 2. profiling runs — only the optimized run (the one feeding the
-     analyzer) reports tracer events to [obs], so arc/overflow counters
-     are not double-counted across the two runs. *)
-  let base, _, _ =
-    Obs.Sink.phase obs phase_profile_base (fun () ->
-        annotated_run ?tracer_config ?fuel ~optimized:false ~plain_cycles table
-          tac)
-  in
+  let tac, table = frontend ~obs ~optimize src in
+  (* 1. the profiled run, which also prices the plain and base builds *)
   let methods = Test_core.Method_profile.create () in
-  (* the capture tee wraps outermost, so the writer records the raw
-     interpreter stream — the same stream every pass-through wrapper
-     below it forwards to the tracer, hence what replay must feed back *)
-  let wrap_capture =
-    match capture with
-    | None -> Fun.id
-    | Some w -> fun s -> Hydra.Trace.tee s (Trace_store.Writer.sink w)
+  let { plain_cycles; output; base; opt; tracer; prog = annotated_program } =
+    profiled_run ~hw ?tracer_config ?fuel ~obs
+      ~wrap_sink:(fun s ->
+        capture_tee capture (Test_core.Method_profile.wrap methods s))
+      table tac
   in
-  let opt, tracer, annotated_program =
-    Obs.Sink.phase obs phase_profile_opt (fun () ->
-        annotated_run ?tracer_config ?fuel ~obs
-          ~wrap_sink:(fun s ->
-            wrap_capture (Test_core.Method_profile.wrap methods s))
-          ~optimized:true ~plain_cycles table tac)
-  in
-  (* 3. analyze & select *)
+  (* 2. analyze & select *)
   let stats, estimates, selection =
     Obs.Sink.phase obs phase_analyze (fun () ->
         let stats = Test_core.Tracer.stats tracer in
@@ -177,7 +172,7 @@ let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
         in
         (stats, estimates, selection))
   in
-  (* 4. recompile chosen STLs; 5. speculative run *)
+  (* 3. recompile chosen STLs; 4. speculative run *)
   let tls_prog =
     Obs.Sink.phase obs phase_recompile (fun () ->
         let selected =
@@ -196,7 +191,7 @@ let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
     name;
     hw;
     plain_cycles;
-    plain_output = pr.Hydra.Seq_interp.output;
+    plain_output = output;
     base;
     opt;
     stats;
@@ -207,7 +202,7 @@ let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
     actual_speedup =
       Float.of_int plain_cycles /. Float.of_int (max 1 tr.Hydra.Tls_sim.cycles);
     outputs_match =
-      (try List.for_all2 Ir.Value.equal pr.Hydra.Seq_interp.output tr.Hydra.Tls_sim.output
+      (try List.for_all2 Ir.Value.equal output tr.Hydra.Tls_sim.output
        with Invalid_argument _ -> false);
     spec_stats = tr.Hydra.Tls_sim.stats;
     loop_count = Compiler.Stl_table.loop_count table;

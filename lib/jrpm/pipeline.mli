@@ -1,8 +1,10 @@
 (** The full Jrpm life cycle over one Javelin program (paper Fig. 1):
 
     1. compile the source, identify potential STLs;
-    2. run natively with base and with optimized annotations, collecting
-       TEST statistics (the optimized run feeds the analyzer);
+    2. run once natively with optimized annotations, collecting TEST
+       statistics; the run's per-site execution counts also price the
+       plain build and the base-annotated build exactly
+       ({!Compiler.Codegen.site}), so neither is interpreted;
     3. estimate per-STL speedups (Equation 1), pick decompositions
        (Equation 2);
     4. recompile the chosen STLs into speculative threads;
@@ -24,10 +26,11 @@ type anno_run = {
 type report = {
   name : string;
   hw : Hydra.Config.t;            (** hardware point this report describes *)
-  plain_cycles : int;
-  plain_output : Ir.Value.t list;
-  base : anno_run;                (** base annotations *)
-  opt : anno_run;                 (** optimized annotations *)
+  plain_cycles : int;             (** priced from the profiled run *)
+  plain_output : Ir.Value.t list; (** the profiled run's output *)
+  base : anno_run;                (** base annotations, priced from the
+                                      profiled run *)
+  opt : anno_run;                 (** optimized annotations: the profiled run *)
   stats : (int * Test_core.Stats.t) list;
   estimates : (int * Test_core.Analyzer.estimate) list;
   selection : Test_core.Analyzer.selection;
@@ -72,18 +75,20 @@ val run :
     {!Compiler.Opt} scalar passes before analysis and code generation.
     [obs] (default {!Obs.Sink.null}) observes the run: every phase is
     bracketed in [Phase_begin]/[Phase_end] events (phases [frontend],
-    [plain-run], [profile-base], [profile-opt], [analyze],
-    [recompile-tls], [tls-run]) and the sink is threaded into the
-    tracer (optimized profiling run only, so counters are not
-    double-counted), the analyzer, and the TLS simulator.
+    [profile-opt], [analyze], [recompile-tls], [tls-run]) and the sink
+    is threaded into the tracer, the analyzer, and the TLS simulator.
 
-    [capture] tees the {e optimized} profiling run's raw annotation
-    event stream — the stream the tracer itself consumes — into a
-    {!Trace_store.Writer} sink. The caller owns the writer and calls
+    The program is interpreted twice: once sequentially with optimized
+    annotations ([profile-opt]), and once on the TLS simulator.
+    [capture] tees the profiling run's raw annotation event stream —
+    the stream the tracer itself consumes — into a {!Trace_store.Writer}
+    sink. The caller owns the writer and calls
     {!Trace_store.Writer.finish} afterwards ({!Replay.meta_of_report}
     builds the record metadata that makes the trace self-describing).
-    The base profiling run and the TLS run are never captured.
-    @raise the usual front-end exceptions on bad source. *)
+    The TLS run is never captured.
+    @raise the usual front-end exceptions on bad source;
+    @raise Hydra.Seq_interp.Out_of_fuel and [Hydra.Machine.Trap] from
+    the profiling run (the first execution) or the TLS run. *)
 
 val profile_only :
   ?hw:Hydra.Config.t ->
@@ -95,9 +100,10 @@ val profile_only :
   string ->
   Test_core.Tracer.t * int
 (** Compile with optimized annotations and trace once; returns the
-    tracer and the plain sequential cycle count. [obs] observes the
-    [frontend], [plain-run], and [profile-opt] phases and the tracer.
-    [capture] tees the profiling event stream exactly as in {!run}. *)
+    tracer and the plain sequential cycle count, priced from that one
+    run as in {!run}. [obs] observes the [frontend] and [profile-opt]
+    phases and the tracer. [capture] tees the profiling event stream
+    exactly as in {!run}. *)
 
 val phases : string list
 (** The phase names {!run} brackets, in pipeline order — the vocabulary

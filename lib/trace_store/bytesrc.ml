@@ -10,10 +10,11 @@ let length = function
   | Str s -> String.length s
   | Big b -> Bigarray.Array1.dim b
 
-(* The decoder's innermost loop reads one byte per call through this;
-   the two-constructor match compiles to a single test and both arms
-   use the unchecked accessor, so a mapped container decodes at the
-   same per-byte cost as an in-memory string. Callers check bounds. *)
+(* The two-constructor match compiles to a single test and both arms
+   use the unchecked accessor, so a mapped container reads at the same
+   per-byte cost as an in-memory string. Callers check bounds. (The
+   event decoder keeps its own copy, [Reader.byte]: a call across
+   modules is not inlined in the default build.) *)
 let[@inline] unsafe_get t i =
   match t with
   | Str s -> String.unsafe_get s i

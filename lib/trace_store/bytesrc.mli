@@ -5,9 +5,9 @@
     maps the container once, forked decoder workers inherit the pages,
     and a task is just an (offset, length) pair into the shared bytes —
     no per-task [open], header re-read, or chunk copy. The reader's
-    hot path decodes {e in place} over either constructor through
-    {!unsafe_get}, so the two backends produce byte-identical results
-    by construction. *)
+    hot path decodes {e in place} over either constructor with the
+    same unchecked access as {!unsafe_get}, so the two backends
+    produce byte-identical results by construction. *)
 
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -20,8 +20,8 @@ val of_bigstring : bigstring -> t
 val length : t -> int
 
 val unsafe_get : t -> int -> char
-(** Unchecked byte access — the decode hot path, inlined to a
-    constructor test plus an unchecked load. The caller must have
+(** Unchecked byte access — a constructor test plus an unchecked load
+    (the event decoder inlines its own copy). The caller must have
     bounds-checked [i] against {!length}. *)
 
 val get : t -> int -> char

@@ -121,18 +121,29 @@ let open_mapped path = of_src (Bytesrc.map_file path)
 
 (* ---------------- event decoding ---------------- *)
 
-(* Hot-path zigzag varint over the byte source. Bounds are checked
-   against [limit] explicitly ([Bytesrc.unsafe_get] after the check),
-   and failures raise Corrupt directly — no exception translation, so
-   sink callbacks can never be mistaken for decode errors. The common
-   single-byte delta returns without entering the multi-byte loop. *)
-let[@inline] rd_delta b pos limit =
+(* [Bytesrc.unsafe_get], repeated here so that it inlines: the default
+   (dev) build compiles every module [-opaque], which turns each
+   cross-module call into a generic closure application — one per
+   decoded byte. *)
+let[@inline] byte b i =
+  Char.code
+    (match b with
+    | Bytesrc.Str s -> String.unsafe_get s i
+    | Bytesrc.Big a -> Bigarray.Array1.unsafe_get a i)
+
+(* Hot-path LEB128 over the byte source, returning the raw 63-bit
+   pattern. Bounds are checked against [limit] explicitly ([byte] after
+   the check), and failures raise Corrupt directly — no exception
+   translation, so sink callbacks can never be mistaken for decode
+   errors. The common single-byte value returns without entering the
+   multi-byte loop. *)
+let[@inline] rd_raw b pos limit =
   let p = !pos in
   if p >= limit then corrupt "truncated varint in event payload";
-  let c = Char.code (Bytesrc.unsafe_get b p) in
+  let c = byte b p in
   if c < 0x80 then begin
     pos := p + 1;
-    (c lsr 1) lxor (-(c land 1))
+    c
   end
   else begin
     let acc = ref (c land 0x7f) in
@@ -142,23 +153,34 @@ let[@inline] rd_delta b pos limit =
     while !continue do
       if !shift > 56 then corrupt "varint overflow in event payload";
       if !p >= limit then corrupt "truncated varint in event payload";
-      let c = Char.code (Bytesrc.unsafe_get b !p) in
+      let c = byte b !p in
       incr p;
       acc := !acc lor ((c land 0x7f) lsl !shift);
       shift := !shift + 7;
       if c < 0x80 then continue := false
     done;
     pos := !p;
-    let z = !acc in
-    (z lsr 1) lxor (-(z land 1))
+    !acc
   end
+
+(* a zigzag delta *)
+let[@inline] rd_delta b pos limit =
+  let z = rd_raw b pos limit in
+  (z lsr 1) lxor (-(z land 1))
+
+(* a length or count *)
+let[@inline] rd_count b pos limit =
+  let v = rd_raw b pos limit in
+  if v < 0 then corrupt "varint overflow in event payload";
+  v
 
 (* [operand st slot b pos limit]: delta-decode one operand against its
    predictor slot, kept a top-level function (not a per-event closure)
-   so the event loop allocates nothing. *)
+   so the event loop allocates nothing. Every [slot] is a [Layout.p_*]
+   constant below [Layout.pred_count], the length of [preds]. *)
 let[@inline] operand st slot b pos limit =
-  let v = st.Layout.preds.(slot) + rd_delta b pos limit in
-  st.Layout.preds.(slot) <- v;
+  let v = Array.unsafe_get st.Layout.preds slot + rd_delta b pos limit in
+  Array.unsafe_set st.Layout.preds slot v;
   v
 
 let decode_event t op b pos limit sink =
@@ -212,11 +234,12 @@ let decode_event t op b pos limit sink =
   else if op = Layout.op_return then sink.Hydra.Trace.on_return ~now
   else corrupt "unknown event opcode 0x%02x" op
 
-(* a framed segment contains bare event ops only *)
-let decode_bare t b start stop sink =
-  let pos = ref start in
+(* A framed segment contains bare event ops only. Decodes from [!pos]
+   up to [stop] and leaves [pos] there: the caller's cursor is reused,
+   so a segment costs no allocation. *)
+let decode_bare t b pos stop sink =
   while !pos < stop do
-    let op = Char.code (Bytesrc.unsafe_get b !pos) in
+    let op = byte b !pos in
     incr pos;
     if op = Layout.op_seg || op = Layout.op_repeat then
       corrupt "framed opcode 0x%02x inside a segment" op;
@@ -226,27 +249,30 @@ let decode_bare t b start stop sink =
 let decode_payload t b start stop sink =
   let pos = ref start in
   while !pos < stop do
-    let op = Char.code (Bytesrc.unsafe_get b !pos) in
+    let op = byte b !pos in
     incr pos;
     if op = Layout.op_seg then begin
-      let slen = rd_unsigned b ~limit:stop pos in
+      let slen = rd_count b pos stop in
       if !pos + slen > stop then corrupt "segment overruns its event chunk";
       let soff = !pos in
-      pos := soff + slen;
-      decode_bare t b soff (soff + slen) sink;
+      decode_bare t b pos (soff + slen) sink;
       (* zero-copy reference: the span stays addressable because the
-         container bytes (mapped pages or the in-memory string) outlive it *)
-      t.seg_src <- b;
+         container bytes (mapped pages or the in-memory string) outlive
+         it; the source only changes between records, so the write
+         barrier is skipped per segment *)
+      if t.seg_src != b then t.seg_src <- b;
       t.seg_off <- soff;
       t.seg_len <- slen
     end
     else if op = Layout.op_repeat then begin
-      let count = rd_unsigned b ~limit:stop pos in
+      let count = rd_count b pos stop in
       if count = 0 || count > max_repeat then
         corrupt "implausible repeat count %d" count;
       if t.seg_len = 0 then corrupt "repeat op with no reference segment";
+      let seg_pos = ref 0 in
       for _ = 1 to count do
-        decode_bare t t.seg_src t.seg_off (t.seg_off + t.seg_len) sink
+        seg_pos := t.seg_off;
+        decode_bare t t.seg_src seg_pos (t.seg_off + t.seg_len) sink
       done
     end
     else decode_event t op b pos stop sink

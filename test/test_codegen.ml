@@ -266,6 +266,98 @@ let test_pc_bases () =
     prog.N.funcs;
   Alcotest.(check bool) "has pcs" true (Hashtbl.length seen > 0)
 
+(* The site table of every registry workload's profiling build: one
+   entry per annotation instruction and none elsewhere, a stub jump only
+   on a stub's first annotation, and a program identical to [generate]'s.
+   The digest pins the optimized annotated builds themselves — the
+   tracer bins arcs by their load PCs, so they must not move. *)
+let opt_build_text (p : N.program) =
+  String.concat ""
+    (Array.to_list
+       (Array.map
+          (fun (f : N.func) ->
+            Format.asprintf "@%d %a" f.N.pc_base N.pp_func f)
+          p.N.funcs))
+
+let opt_builds_digest = "1a61551b503ff46574f96f82c7da6ce3"
+
+let test_site_table () =
+  let mode = Compiler.Codegen.Annotated { optimized = true } in
+  let texts =
+    List.map
+      (fun (w : Workloads.Workload.t) ->
+        let name = w.Workloads.Workload.name in
+        let tac =
+          Compiler.Opt.program
+            (Ir.Lower.compile (Workloads.Registry.default_source w))
+        in
+        let table = Compiler.Stl_table.build tac in
+        let prog, sites = Compiler.Codegen.generate_with_sites ~mode table tac in
+        Alcotest.(check bool)
+          (name ^ ": same program as generate")
+          true
+          (prog = Compiler.Codegen.generate ~mode table tac);
+        let code =
+          Array.concat
+            (List.map (fun (f : N.func) -> f.N.code) (Array.to_list prog.N.funcs))
+        in
+        let site_at = Array.make (Array.length code) None in
+        Array.iter
+          (fun (s : Compiler.Codegen.site) ->
+            site_at.(s.Compiler.Codegen.pc) <- Some s)
+          sites;
+        Array.iteri
+          (fun pc ins ->
+            match site_at.(pc) with
+            | None ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: pc %d has no site" name pc)
+                  false (N.is_annotation ins)
+            | Some s ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: site at annotation pc %d" name pc)
+                  true (N.is_annotation ins);
+                (* own cost, plus a stub's closing jump at most *)
+                let own = N.instr_cost ins in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: plain gap at pc %d" name pc)
+                  true
+                  (s.Compiler.Codegen.plain_gap = own
+                  || s.Compiler.Codegen.plain_gap = own + Hydra.Cost.cost_simple);
+                if s.Compiler.Codegen.base_locals <> 0 then
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: lwl delta on an lwl at pc %d" name pc)
+                    true
+                    (match ins with N.Lwl _ -> true | _ -> false))
+          code;
+        name ^ opt_build_text prog)
+      Workloads.Registry.all
+  in
+  Alcotest.(check string) "optimized annotated builds unchanged"
+    opt_builds_digest
+    (Digest.to_hex (Digest.string (String.concat "" texts)))
+
+(* A base build prices only itself: no base-minus-this deltas. *)
+let test_base_build_sites () =
+  let tac = Ir.Lower.compile loop_src in
+  let table = Compiler.Stl_table.build tac in
+  let _, sites =
+    Compiler.Codegen.generate_with_sites
+      ~mode:(Compiler.Codegen.Annotated { optimized = false })
+      table tac
+  in
+  Alcotest.(check bool) "has sites" true (Array.length sites > 0);
+  Array.iter
+    (fun (s : Compiler.Codegen.site) ->
+      Alcotest.(check (pair int int)) "no deltas" (0, 0)
+        (s.Compiler.Codegen.base_locals, s.Compiler.Codegen.base_read_stats))
+    sites;
+  List.iter
+    (fun mode ->
+      Alcotest.(check int) "no sites without annotations" 0
+        (Array.length (snd (Compiler.Codegen.generate_with_sites ~mode table tac))))
+    Compiler.Codegen.[ Plain; Tls { selected = [] } ]
+
 let suites =
   [
     ( "codegen.tls_plans",
@@ -286,5 +378,7 @@ let suites =
           test_annotations_preserve_semantics;
         Alcotest.test_case "cost gated on tracing" `Quick
           test_annotation_cost_only_when_tracing;
+        Alcotest.test_case "site table" `Quick test_site_table;
+        Alcotest.test_case "base build sites" `Quick test_base_build_sites;
       ] );
   ]

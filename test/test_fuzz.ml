@@ -58,6 +58,17 @@ let prop_engines =
     QCheck.(int_range 1 1_000_000)
     engines_agree
 
+(* The pipeline's one-run accounting against interpreting all three
+   builds (plain, base-annotated, optimized-annotated). *)
+let prop_oracle =
+  QCheck.Test.make ~name:"one run prices three builds on random programs"
+    ~count:40
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let r = Jrpm.Pipeline.run ~name:"fuzz" (Fuzz_gen.gen_program seed) in
+      Three_run_oracle.to_string (Three_run_oracle.profile r.table r.tac)
+      = Three_run_oracle.to_string (Three_run_oracle.of_report r))
+
 (* The TLS simulator on a random machine: CPU count, Table-1 buffer
    limits and line size all vary, and the output must still equal the
    sequential interpreter's, with and without learned synchronization. *)
@@ -151,6 +162,7 @@ let suites =
     ( "fuzz.differential",
       [
         QCheck_alcotest.to_alcotest prop_engines;
+        QCheck_alcotest.to_alcotest prop_oracle;
         QCheck_alcotest.to_alcotest prop_machines;
         QCheck_alcotest.to_alcotest prop_roundtrip;
         Alcotest.test_case "workloads round-trip" `Quick test_workload_roundtrip;

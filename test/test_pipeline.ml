@@ -102,6 +102,80 @@ let test_dataset_sensitivity () =
     (Printf.sprintf "overflow grows with dataset (%.3f -> %.3f)" small large)
     true (large >= small)
 
+(* The one profiled run prices the plain and base builds: every number
+   equals what interpreting all three builds gives. Workloads run at the
+   golden-output sizes, so the check stays fast. *)
+let check_against_oracle name (r : Jrpm.Pipeline.report) =
+  Alcotest.(check string)
+    (name ^ " matches the three-run oracle")
+    (Three_run_oracle.to_string (Three_run_oracle.profile r.table r.tac))
+    (Three_run_oracle.to_string (Three_run_oracle.of_report r))
+
+let test_registry_oracle () =
+  List.iter
+    (fun (name, size, _) -> check_against_oracle name (run_small name size))
+    Test_workload_golden.goldens
+
+(* Faults surface from the profiled run exactly as they did from the
+   plain run it replaced: same exception, same message. *)
+let div_src =
+  {|
+int[] a;
+def main() {
+  a = new int[4];
+  int s = 0;
+  for (int i = 0; i < 4; i = i + 1) { s = s + 10 / a[i]; }
+  print_int(s);
+}
+|}
+
+let negative_src =
+  {|
+int[] a;
+def main() {
+  a = new int[4];
+  int s = 0;
+  for (int i = 0; i < 4; i = i + 1) { s = s + a[i - 1000000]; }
+  print_int(s);
+}
+|}
+
+let spin_src = "def main() { int i = 0; while (1) { i = i + 1; } }"
+
+let test_fault_parity () =
+  Alcotest.check_raises "out of fuel" (Hydra.Seq_interp.Out_of_fuel 10_000)
+    (fun () -> ignore (Jrpm.Pipeline.run ~fuel:10_000 ~name:"spin" spin_src));
+  Alcotest.check_raises "profile_only out of fuel"
+    (Hydra.Seq_interp.Out_of_fuel 10_000) (fun () ->
+      ignore (Jrpm.Pipeline.profile_only ~fuel:10_000 spin_src));
+  Alcotest.check_raises "division by zero"
+    (Hydra.Machine.Trap "integer division by zero") (fun () ->
+      ignore (Jrpm.Pipeline.run ~name:"div" div_src));
+  Alcotest.check_raises "negative address"
+    (Hydra.Machine.Trap "load from a negative address") (fun () ->
+      ignore (Jrpm.Pipeline.run ~name:"neg" negative_src))
+
+let test_cli_fault () =
+  if Sys.file_exists Test_regression.jrpm then
+    List.iter
+      (fun (src, msg) ->
+        let file = Filename.temp_file "fault" ".jvl" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove file)
+          (fun () ->
+            Out_channel.with_open_text file (fun oc -> output_string oc src);
+            List.iter
+              (fun cmd ->
+                Test_regression.check_cli ("jrpm " ^ cmd)
+                  ~needle:("runtime trap: " ^ msg)
+                  (Printf.sprintf "%s %s %s" Test_regression.jrpm cmd
+                     (Filename.quote file)))
+              [ "auto"; "profile" ]))
+      [
+        (div_src, "integer division by zero");
+        (negative_src, "load from a negative address");
+      ]
+
 let suites =
   [
     ( "pipeline.registry",
@@ -117,5 +191,12 @@ let suites =
         Alcotest.test_case "mips simulator" `Slow test_serialish_pipeline;
         Alcotest.test_case "slowdown components" `Slow test_anno_components_sum;
         Alcotest.test_case "dataset sensitivity" `Slow test_dataset_sensitivity;
+      ] );
+    ( "pipeline.one_run",
+      [
+        Alcotest.test_case "registry matches three-run oracle" `Slow
+          test_registry_oracle;
+        Alcotest.test_case "fault parity" `Quick test_fault_parity;
+        Alcotest.test_case "cli fault exit" `Quick test_cli_fault;
       ] );
   ]
