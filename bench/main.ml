@@ -1,9 +1,9 @@
 (* Regenerates every table and figure of the paper's evaluation
-   (see DESIGN.md's experiment index), then runs one Bechamel
-   micro-benchmark per experiment kernel.
+   (see DESIGN.md's experiment index).
 
    Usage: dune exec bench/main.exe             (everything)
-          dune exec bench/main.exe -- quick    (skip bechamel timing)
+          dune exec bench/main.exe -- quick    (the same; kept for
+                                               scripts that pass it)
           dune exec bench/main.exe -- profile  (add per-benchmark
                                                pipeline-phase times)
           dune exec bench/main.exe -- --jobs N (fan the benchmark sweep
@@ -801,7 +801,10 @@ let replay_bench ~smoke () =
         in
         let decode_s =
           time_min (fun () ->
-              let rd = Trace_store.Reader.of_string container in
+              let rd =
+                Trace_store.Reader.of_src
+                  (Trace_store.Bytesrc.of_string container)
+              in
               ignore (Trace_store.Reader.next_record rd);
               ignore
                 (Trace_store.Reader.replay rd Hydra.Trace.null_sink
@@ -893,7 +896,8 @@ let sched_bench ~smoke () =
   let copies = 4 in
   let records = List.concat (List.init copies (fun _ -> base_records)) in
   let container = Trace_store.Writer.container records in
-  let entries = Trace_store.Index.of_string container in
+  let src = Trace_store.Bytesrc.of_string container in
+  let entries = Trace_store.Index.of_src src in
   let total_events =
     List.fold_left
       (fun acc (e : Trace_store.Index.entry) -> acc + e.Trace_store.Index.events)
@@ -901,7 +905,7 @@ let sched_bench ~smoke () =
   in
   let seq_s =
     time_min (fun () ->
-        let rd = Trace_store.Reader.of_string container in
+        let rd = Trace_store.Reader.of_src src in
         let rec loop () =
           match Trace_store.Reader.next_record rd with
           | None -> ()
@@ -914,7 +918,7 @@ let sched_bench ~smoke () =
         loop ())
   in
   let decode_entry _ (e : Trace_store.Index.entry) =
-    let rd = Trace_store.Reader.of_string container in
+    let rd = Trace_store.Reader.of_src src in
     ignore (Trace_store.Reader.seek_record rd ~offset:e.Trace_store.Index.offset);
     (Trace_store.Reader.replay rd Hydra.Trace.null_sink).Trace_store.Reader
       .events
@@ -1051,7 +1055,9 @@ let handoff_bench ~smoke () =
       let decode_reopen _ (e : Trace_store.Index.entry) =
         (* the baseline task body: open the container, read the header,
            seek — once per record *)
-        let rd = Trace_store.Reader.open_mapped path in
+        let rd =
+          Trace_store.Reader.of_src (Trace_store.Bytesrc.map_file path)
+        in
         ignore
           (Trace_store.Reader.seek_record rd ~offset:e.Trace_store.Index.offset);
         (Trace_store.Reader.replay rd Hydra.Trace.null_sink)
@@ -1272,104 +1278,6 @@ let serve_bench ~smoke () =
       end)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment kernel. *)
-
-let bechamel_suite () =
-  section "Bechamel micro-benchmarks (one per experiment kernel)";
-  let open Bechamel in
-  let huffman_src =
-    (Workloads.Registry.find_exn "Huffman").Workloads.Workload.source 200
-  in
-  let small_prog, _ =
-    Compiler.Codegen.compile_source
-      ~mode:(Compiler.Codegen.Annotated { optimized = true })
-      huffman_src
-  in
-  let drive_tracer () =
-    let t = Test_core.Tracer.create () in
-    let s = Test_core.Tracer.sink t in
-    s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:0 ~frame:1 ~now:0;
-    for i = 1 to 1000 do
-      s.Hydra.Trace.on_heap_store ~addr:(i * 4) ~now:(i * 3);
-      s.Hydra.Trace.on_heap_load ~addr:((i - 1) * 4) ~pc:7 ~now:((i * 3) + 1);
-      if i mod 10 = 0 then s.Hydra.Trace.on_eoi ~stl:0 ~now:(i * 3)
-    done;
-    s.Hydra.Trace.on_eloop ~stl:0 ~now:3001
-  in
-  let mk_stats () =
-    let s = Test_core.Stats.create 0 in
-    s.Test_core.Stats.cycles <- 1_000_000;
-    s.Test_core.Stats.threads <- 1000;
-    s.Test_core.Stats.entries <- 10;
-    s.Test_core.Stats.crit_prev_count <- 500;
-    s.Test_core.Stats.crit_prev_len <- 200_000;
-    s
-  in
-  let stats = mk_stats () in
-  let tests =
-    Test.make_grouped ~name:"jrpm"
-      [
-        Test.make ~name:"table1+2 cost-model"
-          (Staged.stage (fun () ->
-               ignore
-                 (Sys.opaque_identity
-                    (Hydra.Cost.load_buffer_lines + Hydra.Cost.loop_startup))));
-        Test.make ~name:"fig3 tracer-dependency-events"
-          (Staged.stage drive_tracer);
-        Test.make ~name:"fig4 overflow-analysis-events"
-          (Staged.stage (fun () ->
-               let t = Test_core.Tracer.create () in
-               let s = Test_core.Tracer.sink t in
-               s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:0 ~frame:1 ~now:0;
-               for i = 1 to 1000 do
-                 s.Hydra.Trace.on_heap_load ~addr:(i * 32) ~pc:1 ~now:i
-               done;
-               s.Hydra.Trace.on_eloop ~stl:0 ~now:1001));
-        Test.make ~name:"table3 equation1-estimate"
-          (Staged.stage (fun () ->
-               ignore (Sys.opaque_identity (Test_core.Analyzer.estimate stats))));
-        Test.make ~name:"table5 transistor-model"
-          (Staged.stage (fun () ->
-               ignore (Sys.opaque_identity (Hydra.Hardware_cost.estimate ()))));
-        Test.make ~name:"table6 loop-analysis"
-          (Staged.stage (fun () ->
-               ignore (Compiler.Stl_table.build (Ir.Lower.compile huffman_src))));
-        Test.make ~name:"fig6 annotated-sequential-run"
-          (Staged.stage (fun () ->
-               ignore (Hydra.Seq_interp.run ~tracing:true small_prog)));
-        Test.make ~name:"fig10+11 selection"
-          (Staged.stage (fun () ->
-               ignore
-                 (Test_core.Analyzer.select
-                    ~stats:[ (0, stats) ]
-                    ~child_cycles:[ ((-1, 0), 1_000_000) ]
-                    ~program_cycles:1_200_000 ())));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> Printf.sprintf "%.1f" e
-          | _ -> "-"
-        in
-        [ name; ns ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  Util.Text_table.print
-    ~aligns:Util.Text_table.[ Left; Right ]
-    ~header:[ "kernel"; "ns/run" ] rows
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let has_arg a = Array.exists (String.equal a) Sys.argv in
@@ -1416,7 +1324,6 @@ let () =
     serve_bench ~smoke:(has_arg "--smoke") ();
     exit 0
   end;
-  let quick = has_arg "quick" in
   observe_phases := has_arg "profile";
   sweep_jobs := jobs_arg ();
   table1 ();
@@ -1435,5 +1342,4 @@ let () =
   method_coverage ();
   ablation_sync ();
   if !observe_phases then pipeline_phases ();
-  if not quick then bechamel_suite ();
   Printf.printf "\nDone.\n"

@@ -91,9 +91,6 @@ let profile_json_arg =
           "write the full observability dump (pipeline phase spans, metrics, \
            tracer/analyzer/TLS events) as JSON to $(docv)")
 
-let tracer_config banks =
-  { Test_core.Tracer.default_config with Test_core.Tracer.banks }
-
 (* the --banks flag is a one-axis override of the hardware point; the
    full grid lives in `jrpm explore` *)
 let hw_of_banks banks =
@@ -353,6 +350,7 @@ let profile_cmd =
 
 let deps_cmd =
   let deps file banks =
+    let hw = hw_of_banks banks in
     with_frontend_errors (fun () ->
         let src = read_file file in
         let tac = Compiler.Opt.program (Ir.Lower.compile src) in
@@ -363,7 +361,7 @@ let deps_cmd =
             table tac
         in
         let tracer =
-          Test_core.Tracer.create ~config:(tracer_config banks) ()
+          Test_core.Tracer.create ~config:(Test_core.Tracer.config_of hw) ()
         in
         ignore
           (Hydra.Seq_interp.run ~tracing:true

@@ -23,13 +23,8 @@ type t = {
 
 val analyze : Ir.Tac.func -> t
 
-val loop_of_header : t -> Ir.Tac.label -> int option
-(** Index of the loop whose header is the given block, if any. *)
-
 val innermost_containing : t -> Ir.Tac.label -> int option
 (** Index of the smallest loop whose body contains the block. *)
-
-val in_loop : t -> int -> Ir.Tac.label -> bool
 
 val max_depth : t -> int
 (** Deepest static nesting in this function; 0 when loop-free. *)

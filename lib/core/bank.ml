@@ -83,8 +83,6 @@ let reuse t ?(obs = Obs.Sink.null) ?stats ~stl ~now () =
   t.max_ld <- 0;
   t.max_st <- 0
 
-type arc = To_prev of int | To_earlier of int | No_arc
-
 let arc_none = 0
 let arc_prev = 1
 let arc_earlier = 2
@@ -113,18 +111,6 @@ let note_load_dep_code t ~store_ts ~now =
      if len < t.cur_min_earlier then t.cur_min_earlier <- len
    end);
   code
-
-let classify_arc t ~store_ts ~now : arc =
-  let code = classify_code t ~store_ts in
-  if code = arc_prev then To_prev (now - store_ts)
-  else if code = arc_earlier then To_earlier (now - store_ts)
-  else No_arc
-
-let note_load_dep t ~store_ts ~now : arc =
-  let code = note_load_dep_code t ~store_ts ~now in
-  if code = arc_prev then To_prev (now - store_ts)
-  else if code = arc_earlier then To_earlier (now - store_ts)
-  else No_arc
 
 (** Overflow analysis (paper Sec. 4.2.2): [in_current_thread] is column
     (e) of Fig. 4 — the line was last touched by the current thread. *)

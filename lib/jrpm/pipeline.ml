@@ -55,12 +55,6 @@ let frontend ~obs ~optimize src =
       let tac = if optimize then Compiler.Opt.program tac else tac in
       (tac, Compiler.Stl_table.build tac))
 
-(* an explicit tracer_config wins (tests exercise odd geometries);
-   otherwise the tracer models the same machine the analysis targets *)
-let tracer_config_for hw = function
-  | Some c -> c
-  | None -> Test_core.Tracer.config_of hw
-
 (* the capture tee wraps outermost, so the writer records the raw
    interpreter stream — the same stream every pass-through wrapper
    below it forwards to the tracer, hence what replay must feed back *)
@@ -81,15 +75,16 @@ type profiled = {
   prog : Hydra.Native.program;
 }
 
-let profiled_run ~hw ?tracer_config ?fuel ~obs ~wrap_sink table tac =
+let profiled_run ~hw ?fuel ~obs ~wrap_sink table tac =
   Obs.Sink.phase obs phase_profile_opt @@ fun () ->
   let prog, sites =
     Compiler.Codegen.generate_with_sites
       ~mode:(Compiler.Codegen.Annotated { optimized = true })
       table tac
   in
+  (* the tracer models the same machine the analysis targets *)
   let tracer =
-    Test_core.Tracer.create ~config:(tracer_config_for hw tracer_config) ~obs ()
+    Test_core.Tracer.create ~config:(Test_core.Tracer.config_of hw) ~obs ()
   in
   let counts = Counting_sink.create_counts () in
   let sink =
@@ -132,22 +127,21 @@ let profiled_run ~hw ?tracer_config ?fuel ~obs ~wrap_sink table tac =
   in
   { plain_cycles; output = r.Hydra.Seq_interp.output; base; opt; tracer; prog }
 
-let profile_only ?(hw = Hydra.Config.default) ?tracer_config ?fuel
-    ?(obs = Obs.Sink.null) ?(optimize = true) ?capture src =
+let profile_only ?(hw = Hydra.Config.default) ?fuel ?(obs = Obs.Sink.null)
+    ?(optimize = true) ?capture src =
   let tac, table = frontend ~obs ~optimize src in
   let p =
-    profiled_run ~hw ?tracer_config ?fuel ~obs ~wrap_sink:(capture_tee capture)
-      table tac
+    profiled_run ~hw ?fuel ~obs ~wrap_sink:(capture_tee capture) table tac
   in
   (p.tracer, p.plain_cycles)
 
-let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
-    ?(obs = Obs.Sink.null) ?(optimize = true) ?capture ~name src : report =
+let run ?(hw = Hydra.Config.default) ?fuel ?sync ?(obs = Obs.Sink.null)
+    ?(optimize = true) ?capture ~name src : report =
   let tac, table = frontend ~obs ~optimize src in
   (* 1. the profiled run, which also prices the plain and base builds *)
   let methods = Test_core.Method_profile.create () in
   let { plain_cycles; output; base; opt; tracer; prog = annotated_program } =
-    profiled_run ~hw ?tracer_config ?fuel ~obs
+    profiled_run ~hw ?fuel ~obs
       ~wrap_sink:(fun s ->
         capture_tee capture (Test_core.Method_profile.wrap methods s))
       table tac
@@ -159,14 +153,14 @@ let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
         let estimates =
           List.map
             (fun (stl, s) ->
-              (stl, Test_core.Analyzer.estimate ~config:hw ?cpus s))
+              (stl, Test_core.Analyzer.estimate ~config:hw s))
             stats
         in
         (* All the analyzer's cycle counts come from the annotated run, so
            the whole-program denominator must too (annotation overhead
            cancels). *)
         let selection =
-          Test_core.Analyzer.select ~config:hw ?cpus ~obs ~stats
+          Test_core.Analyzer.select ~config:hw ~obs ~stats
             ~child_cycles:(Test_core.Tracer.child_cycles tracer)
             ~program_cycles:opt.cycles ()
         in

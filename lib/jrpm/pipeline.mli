@@ -54,8 +54,6 @@ type report = {
 
 val run :
   ?hw:Hydra.Config.t ->
-  ?tracer_config:Test_core.Tracer.config ->
-  ?cpus:int ->
   ?fuel:int ->
   ?sync:bool ->
   ?obs:Obs.Sink.t ->
@@ -66,8 +64,7 @@ val run :
   report
 (** [run ~name source] executes the whole cycle against hardware point
     [hw] (default {!Hydra.Config.default}): the tracer geometry is
-    derived from it via {!Test_core.Tracer.config_of} (an explicit
-    [tracer_config] overrides the derivation), the analyzer evaluates
+    derived from it via {!Test_core.Tracer.config_of}, the analyzer evaluates
     Eq. 1/Eq. 2 with its overheads and CPU count, and the TLS simulator
     models its machine. [sync] (default false)
     enables the TLS hardware's learned synchronization (see
@@ -92,7 +89,6 @@ val run :
 
 val profile_only :
   ?hw:Hydra.Config.t ->
-  ?tracer_config:Test_core.Tracer.config ->
   ?fuel:int ->
   ?obs:Obs.Sink.t ->
   ?optimize:bool ->

@@ -66,30 +66,26 @@ let config_of_json json : Test_core.Tracer.config =
 
 (* ---------------- capture side ---------------- *)
 
-let meta_of_report ?tracer_config ?cpus ~writer (r : Pipeline.report) =
-  let config =
-    match tracer_config with
-    | Some c -> c
-    | None -> Test_core.Tracer.config_of r.Pipeline.hw
-  in
+(* [Pipeline.run] derives its tracer from the hardware point and runs
+   the analyzer at that point's CPU count; "cpus" stays in the schema
+   (as null, the default) so every container reads back unchanged *)
+let meta_of_report ~writer (r : Pipeline.report) =
   Obs.Json.Obj
     [
       ("summary", Report_summary.to_json (Report_summary.of_report r));
       ("hw_config", Hydra.Config.to_json r.Pipeline.hw);
-      ("tracer_config", config_to_json config);
-      ("cpus", match cpus with None -> Obs.Json.Null | Some n -> Obs.Json.Int n);
+      ( "tracer_config",
+        config_to_json (Test_core.Tracer.config_of r.Pipeline.hw) );
+      ("cpus", Obs.Json.Null);
       ("events", Obs.Json.Int (Trace_store.Writer.events writer));
       ( "reference_bytes",
         Obs.Json.Int (Trace_store.Writer.reference_bytes writer) );
     ]
 
-let capture_run ?hw ?tracer_config ?cpus ?fuel ?sync ?obs ~name src =
+let capture_run ?hw ?fuel ?sync ?obs ~name src =
   let writer = Trace_store.Writer.create () in
-  let report =
-    Pipeline.run ?hw ?tracer_config ?cpus ?fuel ?sync ?obs ~capture:writer
-      ~name src
-  in
-  let meta = meta_of_report ?tracer_config ?cpus ~writer report in
+  let report = Pipeline.run ?hw ?fuel ?sync ?obs ~capture:writer ~name src in
+  let meta = meta_of_report ~writer report in
   (report, Trace_store.Writer.finish ~name ~meta writer)
 
 (* ---------------- replay side ---------------- *)

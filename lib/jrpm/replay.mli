@@ -43,21 +43,15 @@ type outcome = {
   elapsed_s : float;              (** wall-clock seconds spent replaying *)
 }
 
-val meta_of_report :
-  ?tracer_config:Test_core.Tracer.config ->
-  ?cpus:int ->
-  writer:Trace_store.Writer.t ->
-  Pipeline.report ->
-  Obs.Json.t
-(** Build the record metadata for a capture: pass the same
-    [tracer_config]/[cpus] the {!Pipeline.run} call used (defaults
-    meaning the defaults), and the writer that captured it, {e before}
-    calling {!Trace_store.Writer.finish}. *)
+val meta_of_report : writer:Trace_store.Writer.t -> Pipeline.report -> Obs.Json.t
+(** Build the record metadata for a {!Pipeline.run} capture from its
+    report and the writer that captured it, {e before} calling
+    {!Trace_store.Writer.finish}. The tracer configuration is the one
+    the run derived from the report's hardware point, and ["cpus"] is
+    [null]. *)
 
 val capture_run :
   ?hw:Hydra.Config.t ->
-  ?tracer_config:Test_core.Tracer.config ->
-  ?cpus:int ->
   ?fuel:int ->
   ?sync:bool ->
   ?obs:Obs.Sink.t ->

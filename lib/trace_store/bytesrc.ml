@@ -4,7 +4,6 @@ type bigstring =
 type t = Str of string | Big of bigstring
 
 let of_string s = Str s
-let of_bigstring b = Big b
 
 let length = function
   | Str s -> String.length s
@@ -19,10 +18,6 @@ let[@inline] unsafe_get t i =
   match t with
   | Str s -> String.unsafe_get s i
   | Big b -> Bigarray.Array1.unsafe_get b i
-
-let get t i =
-  if i < 0 || i >= length t then invalid_arg "Trace_store.Bytesrc.get";
-  unsafe_get t i
 
 let sub_string t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > length t then

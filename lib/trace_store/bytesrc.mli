@@ -15,7 +15,6 @@ type bigstring =
 type t = Str of string | Big of bigstring
 
 val of_string : string -> t
-val of_bigstring : bigstring -> t
 
 val length : t -> int
 
@@ -23,9 +22,6 @@ val unsafe_get : t -> int -> char
 (** Unchecked byte access — a constructor test plus an unchecked load
     (the event decoder inlines its own copy). The caller must have
     bounds-checked [i] against {!length}. *)
-
-val get : t -> int -> char
-(** Checked byte access. @raise Invalid_argument out of bounds. *)
 
 val sub_string : t -> pos:int -> len:int -> string
 (** Copy a range out as a string (metadata-sized uses only — the event

@@ -16,6 +16,9 @@
       existed. Both paths return identical entries, so every v1
       container — with or without the chunk — is shardable.
 
+    Both walk the container with {!Reader}'s frame-level decoder; this
+    module adds only the index chunk's payload layout.
+
     All offsets are absolute container offsets (byte 0 = first magic
     byte), unlike the relative form stored on disk. Errors raise
     {!Reader.Corrupt}, same as the reader proper. *)
@@ -28,18 +31,13 @@ type entry = {
 }
 
 val of_src : Bytesrc.t -> entry list
-(** Index a byte source: the embedded index chunk when it is present
+(** Index a byte source ([Bytesrc.of_string s] for bytes in memory):
+    the embedded index chunk when it is present
     (verified — each offset is checked to land on a record-begin tag,
     touching one byte per record, so a mapped container's tail parses
     without reading the body), a frame scan otherwise. Entries are in
     container order. @raise Reader.Corrupt on a malformed container or
     a lying index. *)
-
-val of_string : string -> entry list
-(** [of_src (Bytesrc.Str s)]. *)
-
-val of_bigstring : Bytesrc.bigstring -> entry list
-(** [of_src (Bytesrc.Big b)]. *)
 
 val of_file : string -> entry list
 (** [of_src (Bytesrc.map_file path)]: through the lazily paged mapping,
@@ -54,13 +52,6 @@ val embedded_chunk_size : Bytesrc.t -> int option
 (** Payload size in bytes of the embedded index chunk, or [None] for a
     legacy container that has none (`jrpm trace info` reports this).
     @raise Reader.Corrupt on a malformed header or chunk frame. *)
-
-val scan_src : Bytesrc.t -> entry list
-(** Always scan the frames, ignoring any embedded index chunk — the
-    recovery path, exposed so tests can pin scan/embedded agreement. *)
-
-val scan_string : string -> entry list
-(** [scan_src (Bytesrc.Str s)]. *)
 
 (**/**)
 

@@ -57,7 +57,8 @@ val tag_index : int
     chunk (so the chunk does not describe its own length) and [bytes]
     is the record's framed size, begin chunk through end chunk. The
     chunk is a pure accelerator: it carries nothing that cannot be
-    recovered by scanning the record frames ({!Index.scan_string}), it
+    recovered by scanning the record frames ({!Index.of_src} on a
+    container without it), it
     is skipped by pre-index readers under the unknown-tag rule, and its
     absence (any v1 container written before it existed) is legal. *)
 

@@ -8,7 +8,7 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 type record = { name : string; meta : Obs.Json.t }
 type replay_stats = { events : int; record_bytes : int }
 
-type cursor = Header_done | In_record | Record_done | Container_done
+type cursor = Between_records | In_record | Container_done
 
 (* A reader decodes *in place* over a byte source — container bytes
    already in memory, or a read-only file mapping shared with forked
@@ -18,108 +18,21 @@ type cursor = Header_done | In_record | Record_done | Container_done
    string. *)
 type t = {
   src : Bytesrc.t;
-  mutable off : int;  (* bytes consumed so far, container start = 0 *)
+  pos : int ref;  (* bytes consumed so far, container start = 0 *)
   mutable cursor : cursor;
   state : Layout.state;
-  (* reference segment for op_repeat, as a span into [seg_src];
+  (* reference segment for op_repeat, as a span into [src];
      seg_len = 0 means none is set (framed segments are never empty) *)
-  mutable seg_src : Bytesrc.t;
   mutable seg_off : int;
   mutable seg_len : int;
+  mutable seg_events : int;  (* events one pass over the segment delivers *)
   mutable record_start : int;
   mutable events : int;
+  mutable declared_events : int;  (* the current record's end-chunk count *)
   mutable checksum : int;
 }
 
-(* sanity bounds against absurd corrupt lengths/counts: no legitimate
-   writer output comes near them *)
-let max_chunk = 1 lsl 30
-let max_repeat = 1 lsl 40
-
-(* ---------------- byte source ---------------- *)
-
-let read_byte_opt t =
-  if t.off >= Bytesrc.length t.src then None
-  else begin
-    let v = Char.code (Bytesrc.unsafe_get t.src t.off) in
-    t.off <- t.off + 1;
-    Some v
-  end
-
-let read_byte t what =
-  match read_byte_opt t with
-  | Some b -> b
-  | None -> corrupt "truncated container (EOF in %s)" what
-
-(* Claim the next [n] bytes and return their start offset; skipping a
-   record is just advancing the cursor. *)
-let take t n what =
-  if n > max_chunk then corrupt "%s length %d is implausible" what n;
-  if t.off + n > Bytesrc.length t.src then
-    corrupt "truncated container (EOF in %s)" what;
-  let start = t.off in
-  t.off <- start + n;
-  start
-
-let read_exact t n what = Bytesrc.sub_string t.src ~pos:(take t n what) ~len:n
-let skip_exact t n what = ignore (take t n what : int)
-
-let read_uvarint t what =
-  let rec go acc shift =
-    if shift > 56 then corrupt "varint too long in %s" what;
-    let b = read_byte t what in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go acc (shift + 7)
-  in
-  let v = go 0 0 in
-  if v < 0 then corrupt "varint overflow in %s" what;
-  v
-
-(* in-payload varints: bounds/overflow failures are corruption, and the
-   narrow handlers here must not catch anything a sink callback raises *)
-let rd_signed b ~limit pos =
-  try Varint.read_signed_src b ~limit pos with
-  | Varint.Overflow -> corrupt "varint overflow in event payload"
-  | Invalid_argument _ -> corrupt "truncated varint in event payload"
-
-let rd_unsigned b ~limit pos =
-  try Varint.read_unsigned_src b ~limit pos with
-  | Varint.Overflow -> corrupt "varint overflow in event payload"
-  | Invalid_argument _ -> corrupt "truncated varint in event payload"
-
-(* ---------------- open ---------------- *)
-
-let of_src src =
-  let t =
-    {
-      src;
-      off = 0;
-      cursor = Header_done;
-      state = Layout.create_state ();
-      seg_src = Bytesrc.Str "";
-      seg_off = 0;
-      seg_len = 0;
-      record_start = 0;
-      events = 0;
-      checksum = Layout.fnv32_init;
-    }
-  in
-  let magic = read_exact t (String.length Layout.magic) "magic" in
-  if not (String.equal magic Layout.magic) then
-    corrupt "bad magic %S (not a trace container)" magic;
-  let v = read_byte t "version" in
-  if v <> Layout.version then
-    corrupt "unsupported trace format version %d (this reader speaks %d)" v
-      Layout.version;
-  let ext = read_uvarint t "header extension" in
-  skip_exact t ext "header extension";
-  t
-
-let of_string s = of_src (Bytesrc.Str s)
-let of_bigstring b = of_src (Bytesrc.Big b)
-let open_mapped path = of_src (Bytesrc.map_file path)
-
-(* ---------------- event decoding ---------------- *)
+(* ---------------- bytes and varints ---------------- *)
 
 (* [Bytesrc.unsafe_get], repeated here so that it inlines: the default
    (dev) build compiles every module [-opaque], which turns each
@@ -131,15 +44,16 @@ let[@inline] byte b i =
     | Bytesrc.Str s -> String.unsafe_get s i
     | Bytesrc.Big a -> Bigarray.Array1.unsafe_get a i)
 
-(* Hot-path LEB128 over the byte source, returning the raw 63-bit
-   pattern. Bounds are checked against [limit] explicitly ([byte] after
-   the check), and failures raise Corrupt directly — no exception
-   translation, so sink callbacks can never be mistaken for decode
-   errors. The common single-byte value returns without entering the
-   multi-byte loop. *)
+(* The one LEB128 decoder — event operands, chunk lengths, record
+   fields and index entries all go through it — returning the raw
+   63-bit pattern. Bounds are checked against [limit] explicitly
+   ([byte] after the check), and failures raise Corrupt directly — no
+   exception translation, so sink callbacks can never be mistaken for
+   decode errors. The common single-byte value returns without
+   entering the multi-byte loop. *)
 let[@inline] rd_raw b pos limit =
   let p = !pos in
-  if p >= limit then corrupt "truncated varint in event payload";
+  if p >= limit then corrupt "truncated varint at byte %d" p;
   let c = byte b p in
   if c < 0x80 then begin
     pos := p + 1;
@@ -151,8 +65,8 @@ let[@inline] rd_raw b pos limit =
     let p = ref (p + 1) in
     let continue = ref true in
     while !continue do
-      if !shift > 56 then corrupt "varint overflow in event payload";
-      if !p >= limit then corrupt "truncated varint in event payload";
+      if !shift > 56 then corrupt "varint overflow at byte %d" !p;
+      if !p >= limit then corrupt "truncated varint at byte %d" !p;
       let c = byte b !p in
       incr p;
       acc := !acc lor ((c land 0x7f) lsl !shift);
@@ -171,8 +85,118 @@ let[@inline] rd_delta b pos limit =
 (* a length or count *)
 let[@inline] rd_count b pos limit =
   let v = rd_raw b pos limit in
-  if v < 0 then corrupt "varint overflow in event payload";
+  if v < 0 then corrupt "varint overflow before byte %d" !pos;
   v
+
+(* ---------------- frames ---------------- *)
+
+let header_end b =
+  let limit = Bytesrc.length b in
+  let mlen = String.length Layout.magic in
+  if limit < mlen + 1 then corrupt "truncated container header";
+  let magic = Bytesrc.sub_string b ~pos:0 ~len:mlen in
+  if not (String.equal magic Layout.magic) then
+    corrupt "bad magic %S (not a trace container)" magic;
+  let v = byte b mlen in
+  if v <> Layout.version then
+    corrupt "unsupported trace format version %d (this reader speaks %d)" v
+      Layout.version;
+  let pos = ref (mlen + 1) in
+  let ext = rd_count b pos limit in
+  if ext > limit - !pos then
+    corrupt "truncated container (EOF in header extension)";
+  !pos + ext
+
+let read_frame b pos =
+  let limit = Bytesrc.length b in
+  let start = !pos in
+  if start >= limit then
+    corrupt "truncated container (EOF at the chunk tag at byte %d)" start;
+  let tag = byte b start in
+  pos := start + 1;
+  let len = rd_count b pos limit in
+  let off = !pos in
+  if len > limit - off then
+    corrupt "truncated container (chunk at byte %d overruns the end)" start;
+  pos := off + len;
+  (tag, off, len)
+
+let rec next_record_frame b pos =
+  let start = !pos in
+  let tag, off, len = read_frame b pos in
+  if tag = Layout.tag_record_begin then Some (start, off, len)
+  else if tag = Layout.tag_container_end then begin
+    if !pos <> Bytesrc.length b then
+      corrupt "%d trailing bytes after the container end"
+        (Bytesrc.length b - !pos);
+    None
+  end
+  else if tag = Layout.tag_events || tag = Layout.tag_record_end then
+    corrupt "chunk tag 0x%02x outside a record" tag
+  else (* unknown chunk kind: skip by declared length (forward compat) *)
+    next_record_frame b pos
+
+let record_begin b off len =
+  let stop = off + len in
+  let pos = ref off in
+  let span what =
+    let n = rd_count b pos stop in
+    let start = !pos in
+    if n > stop - start then corrupt "%s overruns the record-begin chunk" what;
+    pos := start + n;
+    start
+  in
+  let name_off = span "record name" in
+  let name = Bytesrc.sub_string b ~pos:name_off ~len:(!pos - name_off) in
+  let meta_off = span "record metadata" in
+  (name, meta_off, !pos - meta_off)
+
+(* Only frame lengths are walked — no event decoding, which is what
+   makes indexing a large container, skipping a record and bounding a
+   replay cheap. *)
+let record_end b pos =
+  let rec walk () =
+    let tag, off, len = read_frame b pos in
+    if tag = Layout.tag_record_end then (off, len)
+    else if tag = Layout.tag_record_begin || tag = Layout.tag_container_end
+    then corrupt "record not terminated before tag 0x%02x" tag
+    else walk ()
+  in
+  let off, len = walk () in
+  let stop = off + len in
+  let p = ref off in
+  let count = rd_count b p stop in
+  let final_now = rd_delta b p stop in
+  let p = !p in
+  if stop - p < 4 then corrupt "record-end chunk too short for its checksum";
+  if stop - p > 4 then
+    corrupt "%d trailing bytes in the record-end chunk" (stop - p - 4);
+  let checksum =
+    byte b p
+    lor (byte b (p + 1) lsl 8)
+    lor (byte b (p + 2) lsl 16)
+    lor (byte b (p + 3) lsl 24)
+  in
+  (count, final_now, checksum)
+
+(* ---------------- open ---------------- *)
+
+let of_src src =
+  {
+    src;
+    pos = ref (header_end src);
+    cursor = Between_records;
+    state = Layout.create_state ();
+    seg_off = 0;
+    seg_len = 0;
+    seg_events = 0;
+    record_start = 0;
+    events = 0;
+    declared_events = 0;
+    checksum = Layout.fnv32_init;
+  }
+
+(* ---------------- event decoding ---------------- *)
 
 (* [operand st slot b pos limit]: delta-decode one operand against its
    predictor slot, kept a top-level function (not a per-event closure)
@@ -253,26 +277,30 @@ let decode_payload t b start stop sink =
     incr pos;
     if op = Layout.op_seg then begin
       let slen = rd_count b pos stop in
-      if !pos + slen > stop then corrupt "segment overruns its event chunk";
+      if slen > stop - !pos then corrupt "segment overruns its event chunk";
       let soff = !pos in
+      let before = t.events in
       decode_bare t b pos (soff + slen) sink;
       (* zero-copy reference: the span stays addressable because the
          container bytes (mapped pages or the in-memory string) outlive
-         it; the source only changes between records, so the write
-         barrier is skipped per segment *)
-      if t.seg_src != b then t.seg_src <- b;
+         it *)
       t.seg_off <- soff;
-      t.seg_len <- slen
+      t.seg_len <- slen;
+      t.seg_events <- t.events - before
     end
     else if op = Layout.op_repeat then begin
       let count = rd_count b pos stop in
-      if count = 0 || count > max_repeat then
-        corrupt "implausible repeat count %d" count;
       if t.seg_len = 0 then corrupt "repeat op with no reference segment";
+      (* a segment delivers at least one event, so this bounds the
+         expansion by the declared count before any of it is decoded *)
+      if count = 0 || count > (t.declared_events - t.events) / t.seg_events
+      then
+        corrupt "repeat count %d overruns the %d events the record declares"
+          count t.declared_events;
       let seg_pos = ref 0 in
       for _ = 1 to count do
         seg_pos := t.seg_off;
-        decode_bare t t.seg_src seg_pos (t.seg_off + t.seg_len) sink
+        decode_bare t b seg_pos (t.seg_off + t.seg_len) sink
       done
     end
     else decode_event t op b pos stop sink
@@ -280,143 +308,79 @@ let decode_payload t b start stop sink =
 
 (* ---------------- cursor ---------------- *)
 
-let skip_rest_of_record t =
-  let rec go () =
-    let tag = read_byte t "chunk tag" in
-    let len = read_uvarint t "chunk length" in
-    skip_exact t len "skipped chunk";
-    if tag = Layout.tag_record_end then ()
-    else if tag = Layout.tag_record_begin || tag = Layout.tag_container_end then
-      corrupt "record not terminated before tag 0x%02x" tag
-    else go ()
-  in
-  go ()
-
-let parse_record_begin payload =
-  let pos = ref 0 in
-  let take what =
-    let n = rd_unsigned (Bytesrc.Str payload) ~limit:(String.length payload) pos in
-    if !pos + n > String.length payload then
-      corrupt "%s overruns the record-begin chunk" what;
-    let s = String.sub payload !pos n in
-    pos := !pos + n;
-    s
-  in
-  let name = take "record name" in
-  let meta_s = take "record metadata" in
-  let meta =
-    match Obs.Json.parse meta_s with
-    | Ok j -> j
-    | Error e -> corrupt "record metadata is not valid JSON: %s" e
-  in
-  { name; meta }
-
 let rec next_record t =
   match t.cursor with
   | Container_done -> None
   | In_record ->
-      skip_rest_of_record t;
-      t.cursor <- Record_done;
+      (* undecoded events are skipped frame-by-frame, unverified *)
+      ignore (record_end t.src t.pos : int * int * int);
+      t.cursor <- Between_records;
       next_record t
-  | Header_done | Record_done -> (
-      let frame_start = t.off in
-      let tag = read_byte t "chunk tag" in
-      if tag = Layout.tag_container_end then begin
-        let len = read_uvarint t "chunk length" in
-        skip_exact t len "container-end chunk";
-        (match read_byte_opt t with
-        | Some b -> corrupt "trailing byte 0x%02x after the container end" b
-        | None -> ());
-        t.cursor <- Container_done;
-        None
-      end
-      else if tag = Layout.tag_record_begin then begin
-        let len = read_uvarint t "chunk length" in
-        let payload = read_exact t len "record-begin chunk" in
-        let r = parse_record_begin payload in
-        Layout.reset_state t.state;
-        t.seg_src <- Bytesrc.Str "";
-        t.seg_off <- 0;
-        t.seg_len <- 0;
-        t.events <- 0;
-        t.checksum <- Layout.fnv32_init;
-        t.record_start <- frame_start;
-        t.cursor <- In_record;
-        Some r
-      end
-      else if tag = Layout.tag_events || tag = Layout.tag_record_end then
-        corrupt "chunk tag 0x%02x outside a record" tag
-      else begin
-        (* unknown chunk kind: skip by declared length (forward compat) *)
-        let len = read_uvarint t "chunk length" in
-        skip_exact t len "unknown chunk";
-        next_record t
-      end)
+  | Between_records -> (
+      match next_record_frame t.src t.pos with
+      | None ->
+          t.cursor <- Container_done;
+          None
+      | Some (start, off, len) ->
+          let name, meta_off, meta_len = record_begin t.src off len in
+          let meta =
+            match
+              Obs.Json.parse
+                (Bytesrc.sub_string t.src ~pos:meta_off ~len:meta_len)
+            with
+            | Ok j -> j
+            | Error e -> corrupt "record metadata is not valid JSON: %s" e
+          in
+          Layout.reset_state t.state;
+          t.seg_off <- 0;
+          t.seg_len <- 0;
+          t.seg_events <- 0;
+          t.events <- 0;
+          t.checksum <- Layout.fnv32_init;
+          t.record_start <- start;
+          t.cursor <- In_record;
+          Some { name; meta })
 
 let seek_record t ~offset =
   if offset < 0 then corrupt "seek offset %d is negative" offset;
   if offset > Bytesrc.length t.src then
     corrupt "seek offset %d is past the container end" offset;
-  t.off <- offset;
-  t.cursor <- Record_done;
+  t.pos := offset;
+  t.cursor <- Between_records;
   match next_record t with
   | Some r -> r
   | None -> corrupt "no record at offset %d" offset
 
-let verify_record_end t payload =
-  let b = Bytesrc.Str payload in
-  let limit = String.length payload in
-  let pos = ref 0 in
-  let count = rd_unsigned b ~limit pos in
-  let final_now = rd_signed b ~limit pos in
-  if !pos + 4 > String.length payload then
-    corrupt "record-end chunk too short for its checksum";
-  let byte i = Char.code payload.[!pos + i] in
-  let declared =
-    byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
+let replay t sink =
+  if t.cursor <> In_record then
+    invalid_arg
+      "Trace_store.Reader.replay: no current record (call next_record first)";
+  (* the end chunk first: its declared count bounds every RLE expansion *)
+  let count, final_now, checksum = record_end t.src (ref !(t.pos)) in
+  t.declared_events <- count;
+  let rec go () =
+    let tag, off, len = read_frame t.src t.pos in
+    if tag = Layout.tag_events then begin
+      (* zero-copy: checksum and decode the chunk at its container
+         offset; nothing is materialized per chunk or per task *)
+      t.checksum <- Layout.fnv32_src t.checksum t.src ~pos:off ~len;
+      decode_payload t t.src off (off + len) sink;
+      go ()
+    end
+    else if tag <> Layout.tag_record_end then
+      (* the walk above proved the end chunk comes before any record
+         begin or container end; other tags are skipped by length *)
+      go ()
   in
-  pos := !pos + 4;
-  if !pos <> String.length payload then
-    corrupt "%d trailing bytes in the record-end chunk"
-      (String.length payload - !pos);
+  go ();
   if count <> t.events then
     corrupt "event count mismatch: end chunk declares %d, decoded %d" count
       t.events;
   if count > 0 && final_now <> t.state.Layout.last_now then
     corrupt "final timestamp mismatch: end chunk declares %d, decoded %d"
       final_now t.state.Layout.last_now;
-  if declared <> t.checksum then
+  if checksum <> t.checksum then
     corrupt "checksum mismatch: end chunk declares 0x%08x, computed 0x%08x"
-      declared t.checksum
-
-let replay t sink =
-  (match t.cursor with
-  | In_record -> ()
-  | _ ->
-      invalid_arg
-        "Trace_store.Reader.replay: no current record (call next_record first)");
-  let rec go () =
-    let tag = read_byte t "chunk tag" in
-    let len = read_uvarint t "chunk length" in
-    if tag = Layout.tag_events then begin
-      (* zero-copy: checksum and decode the chunk at its container
-         offset; nothing is materialized per chunk or per task *)
-      let start = take t len "event chunk" in
-      t.checksum <- Layout.fnv32_src t.checksum t.src ~pos:start ~len;
-      decode_payload t t.src start (start + len) sink;
-      go ()
-    end
-    else if tag = Layout.tag_record_end then begin
-      let payload = read_exact t len "record-end chunk" in
-      verify_record_end t payload;
-      t.cursor <- Record_done
-    end
-    else if tag = Layout.tag_record_begin || tag = Layout.tag_container_end then
-      corrupt "record not terminated before tag 0x%02x" tag
-    else begin
-      skip_exact t len "unknown chunk";
-      go ()
-    end
-  in
-  go ();
-  { events = t.events; record_bytes = t.off - t.record_start }
+      checksum t.checksum;
+  t.cursor <- Between_records;
+  { events = t.events; record_bytes = !(t.pos) - t.record_start }

@@ -137,7 +137,7 @@ let write_container path names =
   let record name =
     let w = Trace_store.Writer.create () in
     let sink = Trace_store.Writer.sink w in
-    Trace_store.Event.apply sink (Trace_store.Event.Return { now = 1 });
+    Trace_event.apply sink (Trace_event.Return { now = 1 });
     Trace_store.Writer.finish ~name ~meta:(Obs.Json.Obj []) w
   in
   Trace_store.Atomic_io.write_string ~path

@@ -7,9 +7,14 @@
    interpreted sweep. *)
 
 module V = Trace_store.Varint
-module E = Trace_store.Event
+module E = Trace_event
 module W = Trace_store.Writer
 module R = Trace_store.Reader
+module I = Trace_store.Index
+module B = Trace_store.Bytesrc
+
+let reader s = R.of_src (B.of_string s)
+let index s = I.of_src (B.of_string s)
 
 (* ---------------- varint primitives ---------------- *)
 
@@ -38,30 +43,65 @@ let test_varint_encodings () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The decode half lives in the reader alone, so round-trips go through
+   a container: a signed value as the first event's timestamp and
+   operand (both deltas against 0), an unsigned one as the event count
+   of an embedded index entry. *)
+let read_back_signed n =
+  let w = W.create () in
+  (W.sink w).Hydra.Trace.on_call ~callee:n ~now:n;
+  let r = reader (W.container [ W.finish ~name:"v" ~meta:Obs.Json.Null w ]) in
+  ignore (R.next_record r : R.record option);
+  let got = ref [] in
+  ignore (R.replay r (E.handler (fun e -> got := e :: !got)) : R.replay_stats);
+  match !got with
+  | [ E.Call { callee; now } ] when callee = now -> callee
+  | _ -> Alcotest.fail "expected one call event"
+
+(* a hand-framed container: header, an index chunk of [entries], the
+   records, the end chunk *)
+let container_with_index entries records =
+  let payload = I.chunk_payload entries in
+  let b = Buffer.create 256 in
+  Buffer.add_string b "JTRC\x01\x00";
+  Buffer.add_char b '\x04';
+  V.write_unsigned b (String.length payload);
+  Buffer.add_string b payload;
+  List.iter (Buffer.add_string b) records;
+  Buffer.add_string b "\x00\x00";
+  Buffer.contents b
+
+let read_back_unsigned n =
+  let w = W.create () in
+  let record = W.finish ~name:"v" ~meta:Obs.Json.Null w in
+  let entry =
+    { I.name = "v"; offset = 0; bytes = String.length record; events = n }
+  in
+  match index (container_with_index [ entry ] [ record ]) with
+  | [ e ] -> e.I.events
+  | _ -> Alcotest.fail "expected one index entry"
+
 let test_varint_extremes () =
   List.iter
     (fun n ->
-      let s = encode_s n in
       Alcotest.(check int)
         (Printf.sprintf "signed round-trip %d" n)
-        n
-        (V.read_signed s (ref 0));
-      Alcotest.(check bool) "at most 9 bytes" true (String.length s <= 9))
+        n (read_back_signed n);
+      Alcotest.(check bool) "at most 9 bytes" true
+        (String.length (encode_s n) <= 9))
     [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1; 1 lsl 40 ];
   List.iter
     (fun n ->
-      let s = encode_u n in
       Alcotest.(check int)
         (Printf.sprintf "unsigned round-trip %d" n)
-        n
-        (V.read_unsigned s (ref 0)))
+        n (read_back_unsigned n))
     [ 0; 1; 127; 128; 16384; max_int ]
 
 let prop_varint_roundtrip =
   QCheck.Test.make ~name:"varint signed round-trip on arbitrary ints"
     ~count:500
     QCheck.(frequency [ (4, small_signed_int); (1, int) ])
-    (fun n -> V.read_signed (encode_s n) (ref 0) = n)
+    (fun n -> read_back_signed n = n)
 
 (* ---------------- event stream codec ---------------- *)
 
@@ -112,7 +152,7 @@ let encode_container ?name ?meta events =
   W.container [ record ]
 
 let decode_single bytes =
-  let r = R.of_string bytes in
+  let r = reader bytes in
   match R.next_record r with
   | None -> Alcotest.fail "container has no record"
   | Some record ->
@@ -172,7 +212,7 @@ let test_record_identity () =
 let test_multi_record_and_skip () =
   let _, r1 = encode_record ~name:"a" [ E.Return { now = 1 } ] in
   let _, r2 = encode_record ~name:"b" [ E.Call { callee = 9; now = 2 } ] in
-  let r = R.of_string (W.container [ r1; r2 ]) in
+  let r = reader (W.container [ r1; r2 ]) in
   (* skip record a without replaying it, then replay b *)
   (match R.next_record r with
   | Some { R.name = "a"; _ } -> ()
@@ -200,7 +240,7 @@ let expect_corrupt what f =
   | exception R.Corrupt _ -> ()
 
 let drain bytes =
-  let r = R.of_string bytes in
+  let r = reader bytes in
   let rec go () =
     match R.next_record r with
     | None -> ()
@@ -253,7 +293,7 @@ let test_unknown_chunk_skipped () =
   Alcotest.(check bool) "payload survives" true (got = [ E.Return { now = 3 } ])
 
 let test_replay_twice_rejected () =
-  let r = R.of_string (encode_container [ E.Return { now = 1 } ]) in
+  let r = reader (encode_container [ E.Return { now = 1 } ]) in
   ignore (R.next_record r : R.record option);
   ignore (R.replay r Hydra.Trace.null_sink : R.replay_stats);
   Alcotest.(check bool) "second replay rejected" true
@@ -270,6 +310,70 @@ let test_writer_finish_is_final () =
     (match E.apply sink (E.Return { now = 2 }) with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+(* A hand-framed record whose one event chunk is a single-eoi segment
+   and an op_repeat of it, with a correct checksum and a declared event
+   count of [declared]: everything a reader can check before expanding
+   the repeat is well-formed. *)
+let crafted_repeat_record ~repeat ~declared =
+  let frame b tag payload =
+    Buffer.add_char b (Char.chr tag);
+    V.write_unsigned b (String.length payload);
+    Buffer.add_string b payload
+  in
+  let payload f =
+    let b = Buffer.create 16 in
+    f b;
+    Buffer.contents b
+  in
+  let events =
+    payload (fun b ->
+        (* eoi: opcode, Δnow = 1, Δstl = 0 *)
+        let seg = "\x02\x02\x00" in
+        Buffer.add_char b '\x0b';
+        V.write_unsigned b (String.length seg);
+        Buffer.add_string b seg;
+        Buffer.add_char b '\x00';
+        V.write_unsigned b repeat)
+  in
+  let checksum = Trace_store.Layout.(fnv32 fnv32_init events) in
+  payload (fun b ->
+      frame b 0x01 (payload (fun p ->
+          V.write_unsigned p 1;
+          Buffer.add_string p "x";
+          V.write_unsigned p 2;
+          Buffer.add_string p "{}"));
+      frame b 0x02 events;
+      frame b 0x03 (payload (fun p ->
+          V.write_unsigned p declared;
+          V.write_signed p declared;
+          for i = 0 to 3 do
+            Buffer.add_char p (Char.chr ((checksum lsr (8 * i)) land 0xff))
+          done)))
+
+let test_repeat_bounded_by_declared_count () =
+  (* the control: a segment plus two repeats is the three eois it
+     declares *)
+  let sink, events = E.collector () in
+  let r = reader (W.container [ crafted_repeat_record ~repeat:2 ~declared:3 ]) in
+  ignore (R.next_record r : R.record option);
+  ignore (R.replay r sink : R.replay_stats);
+  Alcotest.(check bool) "control record decodes" true
+    (events ()
+    = List.init 3 (fun i -> E.Eoi { stl = 0; now = i + 1 }));
+  (* 2^30 repeats against 3 declared events: rejected before any
+     expansion, not after a billion decoded segments *)
+  let r =
+    reader (W.container [ crafted_repeat_record ~repeat:(1 lsl 30) ~declared:3 ])
+  in
+  ignore (R.next_record r : R.record option);
+  let t0 = Unix.gettimeofday () in
+  expect_corrupt "repeat past the declared count" (fun () ->
+      R.replay r Hydra.Trace.null_sink);
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "rejected in under 1 s (took %.3f s)" dt)
+    true (dt < 1.0)
 
 (* ---------------- tee + tracer tap ---------------- *)
 
@@ -293,8 +397,6 @@ let test_tracer_event_tap () =
 
 (* ---------------- record index + seek ---------------- *)
 
-module I = Trace_store.Index
-
 let three_records () =
   let _, r1 = encode_record ~name:"a" (loop_events ~iters:5 ~body:4) in
   let _, r2 = encode_record ~name:"b" [ E.Return { now = 1 } ] in
@@ -317,14 +419,16 @@ let test_index_embedded_and_scan_agree () =
   let records = three_records () in
   let embedded = W.container records in
   let legacy = legacy_container records in
-  (* the embedded chunk and a frame scan of the same container agree
-     exactly; the legacy container differs only by the offset shift the
-     index chunk itself introduces *)
-  let from_chunk = I.of_string embedded in
-  Alcotest.(check bool) "embedded index = scan of same bytes" true
-    (from_chunk = I.scan_string embedded);
-  Alcotest.(check bool) "legacy scan has the same shape" true
-    (shape from_chunk = shape (I.of_string legacy));
+  (* the embedded chunk and a frame scan of the same records agree
+     exactly once the scan's offsets are shifted by the index chunk's
+     own frame, the only bytes that separate the two layouts *)
+  let from_chunk = index embedded in
+  let shift = String.length embedded - String.length legacy in
+  Alcotest.(check bool) "embedded index = frame scan of the same records" true
+    (from_chunk
+    = List.map
+        (fun (e : I.entry) -> { e with I.offset = e.I.offset + shift })
+        (index legacy));
   Alcotest.(check (list string))
     "container order" [ "a"; "b"; "c" ]
     (List.map (fun (e : I.entry) -> e.I.name) from_chunk);
@@ -346,10 +450,10 @@ let test_index_embedded_and_scan_agree () =
 
 let test_seek_record_decodes_in_isolation () =
   let container = W.container (three_records ()) in
-  let entries = I.of_string container in
+  let entries = index container in
   (* sequential decode of record c for reference *)
   let seq =
-    let r = R.of_string container in
+    let r = reader container in
     ignore (R.next_record r : R.record option);
     ignore (R.replay r Hydra.Trace.null_sink : R.replay_stats);
     ignore (R.next_record r : R.record option);
@@ -361,7 +465,7 @@ let test_seek_record_decodes_in_isolation () =
   in
   let seek_decode name =
     let e = List.find (fun (e : I.entry) -> e.I.name = name) entries in
-    let r = R.of_string container in
+    let r = reader container in
     let record = R.seek_record r ~offset:e.I.offset in
     Alcotest.(check string) "seek lands on the right record" name
       record.R.name;
@@ -375,7 +479,7 @@ let test_seek_record_decodes_in_isolation () =
   Alcotest.(check bool) "seeked decode equals sequential decode" true
     (seek_decode "c" = seq);
   (* backward seek after reading forward *)
-  let r = R.of_string container in
+  let r = reader container in
   let e3 = List.nth entries 2 and e1 = List.hd entries in
   ignore (R.seek_record r ~offset:e3.I.offset : R.record);
   ignore (R.replay r Hydra.Trace.null_sink : R.replay_stats);
@@ -383,7 +487,7 @@ let test_seek_record_decodes_in_isolation () =
   Alcotest.(check string) "backward seek works" "a" back.R.name;
   (* a bogus offset is rejected, not misread *)
   expect_corrupt "seek into the middle of a chunk" (fun () ->
-      R.seek_record (R.of_string container) ~offset:(e1.I.offset + 1))
+      R.seek_record (reader container) ~offset:(e1.I.offset + 1))
 
 let test_lying_index_rejected () =
   (* hand-build a container whose index chunk points one byte past the
@@ -392,15 +496,8 @@ let test_lying_index_rejected () =
   let _, record = encode_record ~name:"x" [ E.Return { now = 3 } ] in
   let entry = { I.name = "x"; offset = 1; bytes = String.length record; events = 1 } in
   let payload = I.chunk_payload [ entry ] in
-  let b = Buffer.create 256 in
-  Buffer.add_string b "JTRC\x01\x00";
-  Buffer.add_char b '\x04';
-  V.write_unsigned b (String.length payload);
-  Buffer.add_string b payload;
-  Buffer.add_string b record;
-  Buffer.add_string b "\x00\x00";
   expect_corrupt "lying index offset" (fun () ->
-      I.of_string (Buffer.contents b));
+      index (container_with_index [ entry ] [ record ]));
   (* a truncated index payload is also rejected *)
   let b2 = Buffer.create 256 in
   Buffer.add_string b2 "JTRC\x01\x00";
@@ -410,11 +507,9 @@ let test_lying_index_rejected () =
   Buffer.add_string b2 record;
   Buffer.add_string b2 "\x00\x00";
   expect_corrupt "truncated index payload" (fun () ->
-      I.of_string (Buffer.contents b2))
+      index (Buffer.contents b2))
 
 (* ---------------- byte-source backends: string / bigstring / file ---- *)
-
-module B = Trace_store.Bytesrc
 
 (* the mapped backend without the filesystem: copy container bytes into
    a bigarray, exactly what Unix.map_file hands back *)
@@ -427,7 +522,7 @@ let big_of_string s =
 
 let both_backends container =
   [ ("string", B.of_string container);
-    ("bigstring", B.of_bigstring (big_of_string container)) ]
+    ("bigstring", B.Big (big_of_string container)) ]
 
 let collect_record src ~offset =
   let r = R.of_src src in
@@ -446,7 +541,7 @@ let test_merged_captures_both_backends () =
                                 snd (encode_record ~name:"a2" [ E.Return { now = 5 } ]) ]
   and capture_b = W.container [ snd (encode_record ~name:"b1" (loop_events ~iters:2 ~body:5)) ] in
   let lift c = List.map (fun (e : I.entry) -> String.sub c e.I.offset e.I.bytes)
-      (I.of_string c) in
+      (index c) in
   let merged = legacy_container (lift capture_a @ lift capture_b) in
   List.iter
     (fun (backend, src) ->
@@ -460,14 +555,14 @@ let test_merged_captures_both_backends () =
         [ "a1"; "a2"; "b1" ]
         (List.map (fun (e : I.entry) -> e.I.name) entries);
       Alcotest.(check bool)
-        (backend ^ ": scan agrees with of_src")
+        (backend ^ ": scan agrees with the captures' own indexes")
         true
-        (entries = I.scan_src src);
+        (shape entries = shape (index capture_a @ index capture_b));
       (* each merged record decodes byte-identically to its decode out
          of the original capture *)
       let from_original name =
         let find c =
-          List.find_opt (fun (e : I.entry) -> e.I.name = name) (I.of_string c)
+          List.find_opt (fun (e : I.entry) -> e.I.name = name) (index c)
           |> Option.map (fun (e : I.entry) ->
                  collect_record (B.of_string c) ~offset:e.I.offset)
         in
@@ -491,7 +586,7 @@ let test_index_backends_agree () =
   let records = three_records () in
   let indexed = W.container records in
   let legacy = legacy_container records in
-  let reference = I.of_string indexed in
+  let reference = index indexed in
   List.iter
     (fun (backend, src) ->
       Alcotest.(check bool)
@@ -549,7 +644,7 @@ let test_of_file_and_mapped_agree () =
   with_temp_container indexed (fun path ->
       Alcotest.(check bool)
         "of_file = of_string (indexed)" true
-        (I.of_file path = I.of_string indexed);
+        (I.of_file path = index indexed);
       let e = List.hd (I.of_file path) in
       let mapped = B.map_file path in
       Alcotest.(check int) "mapping covers the file" (String.length indexed)
@@ -558,7 +653,8 @@ let test_of_file_and_mapped_agree () =
         "mapped decode = string decode" true
         (collect_record mapped ~offset:e.I.offset
         = collect_record (B.of_string indexed) ~offset:e.I.offset);
-      (* open_mapped drains the whole container like of_string *)
+      (* a reader over the mapping drains the whole container like one
+         over the same bytes in memory *)
       let drain r =
         let rec go acc =
           match R.next_record r with
@@ -571,26 +667,18 @@ let test_of_file_and_mapped_agree () =
         go []
       in
       Alcotest.(check bool)
-        "open_mapped = of_string" true
-        (drain (R.open_mapped path) = drain (R.of_string indexed)));
+        "mapped drain = string drain" true
+        (drain (R.of_src (B.map_file path)) = drain (reader indexed)));
   with_temp_container legacy (fun path ->
       Alcotest.(check bool)
         "of_file = of_string (legacy, scan fallback)" true
-        (I.of_file path = I.of_string legacy));
+        (I.of_file path = index legacy));
   (* lying index on disk: offset points one byte past the record *)
   let _, record = encode_record ~name:"x" [ E.Return { now = 3 } ] in
   let entry =
     { I.name = "x"; offset = 1; bytes = String.length record; events = 1 }
   in
-  let payload = I.chunk_payload [ entry ] in
-  let b = Buffer.create 256 in
-  Buffer.add_string b "JTRC\x01\x00";
-  Buffer.add_char b '\x04';
-  V.write_unsigned b (String.length payload);
-  Buffer.add_string b payload;
-  Buffer.add_string b record;
-  Buffer.add_string b "\x00\x00";
-  with_temp_container (Buffer.contents b) (fun path ->
+  with_temp_container (container_with_index [ entry ] [ record ]) (fun path ->
       expect_corrupt "lying on-disk index" (fun () -> I.of_file path))
 
 (* ---------------- on-disk robustness: truncation, special files,
@@ -641,8 +729,8 @@ let test_truncated_file_both_backends () =
                 (Printf.sprintf "%s: truncated to %d bytes" backend keep)
                 (fun () -> drain_reader (open_rd ())))
             [
-              ("mapped", fun () -> R.open_mapped path);
-              ("string", fun () -> R.of_string cut);
+              ("mapped", fun () -> R.of_src (B.map_file path));
+              ("string", fun () -> reader cut);
             ])
         [ 0; 5; 8; 20; String.length good / 3; String.length good - 1 ])
 
@@ -725,6 +813,127 @@ let test_atomic_io () =
         "to_file container loads" [ "atomic" ]
         (List.map (fun (e : I.entry) -> e.I.name) entries))
 
+(* ---------------- container mutation fuzz ---------------- *)
+
+(* Real captures at their golden sizes: fft's mostly bare events, and
+   monteCarlo's and FourierTest's long RLE runs, alone and together in
+   one container so the indexed pass seeks between records. *)
+let fuzz_corpus =
+  lazy
+    (let records =
+       List.map
+         (fun name ->
+           let w = Workloads.Registry.find_exn name in
+           snd
+             (Jrpm.Replay.capture_run ~name
+                (Workloads.Registry.default_source w)))
+         [ "fft"; "monteCarlo"; "FourierTest" ]
+     in
+     Array.of_list
+       (W.container records :: List.map (fun r -> W.container [ r ]) records))
+
+(* Positions are drawn raw and reduced modulo the chosen container's
+   length when the mutation is applied; a flip lands anywhere, or in
+   the first or last 600 bytes, where the header, the index chunk, the
+   record-begin metadata and the record-end chunks sit. *)
+type mutation =
+  | Flip of int * (int * int * int) list  (* base, (region, pos, xor mask) *)
+  | Truncate of int * int  (* base, bytes kept *)
+  | Splice of int * int * int * int  (* base, cut, other, resume *)
+
+let show_mutation = function
+  | Flip (c, flips) ->
+      Printf.sprintf "Flip (%d, [%s])" c
+        (String.concat "; "
+           (List.map
+              (fun (r, p, m) -> Printf.sprintf "(%d, %d, 0x%02x)" r p m)
+              flips))
+  | Truncate (c, k) -> Printf.sprintf "Truncate (%d, %d)" c k
+  | Splice (c, cut, o, resume) ->
+      Printf.sprintf "Splice (%d, %d, %d, %d)" c cut o resume
+
+let arb_mutation =
+  let open QCheck.Gen in
+  let raw = int_bound ((1 lsl 30) - 1) in
+  let pick = int_bound 3 in
+  let flip = triple (int_bound 2) raw (int_range 1 255) in
+  QCheck.make ~print:show_mutation
+    (frequency
+       [
+         (3, map2 (fun c fs -> Flip (c, fs)) pick (list_size (int_range 1 8) flip));
+         (1, map2 (fun c k -> Truncate (c, k)) pick raw);
+         ( 1,
+           map2
+             (fun (c, cut) (o, resume) -> Splice (c, cut, o, resume))
+             (pair pick raw) (pair pick raw) );
+       ])
+
+let apply_mutation corpus m =
+  let nth i = corpus.(i mod Array.length corpus) in
+  match m with
+  | Flip (c, flips) ->
+      let b = Bytes.of_string (nth c) in
+      let n = Bytes.length b in
+      List.iter
+        (fun (region, pos, mask) ->
+          let window = min n 600 in
+          let p =
+            match region with
+            | 0 -> pos mod n
+            | 1 -> pos mod window
+            | _ -> n - 1 - (pos mod window)
+          in
+          Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor mask)))
+        flips;
+      Bytes.to_string b
+  | Truncate (c, k) ->
+      let s = nth c in
+      String.sub s 0 (k mod String.length s)
+  | Splice (c, cut, o, resume) ->
+      let a = nth c and b = nth o in
+      let cut = cut mod (String.length a + 1)
+      and resume = resume mod (String.length b + 1) in
+      String.sub a 0 cut ^ String.sub b resume (String.length b - resume)
+
+(* Each decode path on its own: an index, a sequential pass, and a
+   seek+replay of every indexed record. Corrupt is the only exception
+   allowed out of any of them; anything else fails the property. *)
+let decode_every_way bytes =
+  let src = B.of_string bytes in
+  let tolerate f = try f () with R.Corrupt _ -> () in
+  tolerate (fun () ->
+      let r = R.of_src src in
+      let rec go () =
+        match R.next_record r with
+        | None -> ()
+        | Some _ ->
+            ignore (R.replay r Hydra.Trace.null_sink : R.replay_stats);
+            go ()
+      in
+      go ());
+  tolerate (fun () ->
+      List.iter
+        (fun (e : I.entry) ->
+          tolerate (fun () ->
+              let r = R.of_src src in
+              ignore (R.seek_record r ~offset:e.I.offset : R.record);
+              ignore (R.replay r Hydra.Trace.null_sink : R.replay_stats)))
+        (I.of_src src))
+
+let fuzz_case_bound_s = 2.0
+
+let prop_mutated_containers =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "mutated captures raise only Corrupt, each within %.0f s"
+         fuzz_case_bound_s)
+    ~count:300 arb_mutation
+    (fun m ->
+      let bytes = apply_mutation (Lazy.force fuzz_corpus) m in
+      let t0 = Unix.gettimeofday () in
+      decode_every_way bytes;
+      Unix.gettimeofday () -. t0 < fuzz_case_bound_s)
+
 (* ---------------- replay determinism vs the golden sweep ---------------- *)
 
 (* The same subset test_sweep pins against golden_sweep_summaries.json:
@@ -803,6 +1012,9 @@ let suites =
           test_replay_twice_rejected;
         Alcotest.test_case "writer finish is final" `Quick
           test_writer_finish_is_final;
+        Alcotest.test_case "repeat bounded by the declared event count"
+          `Quick test_repeat_bounded_by_declared_count;
+        QCheck_alcotest.to_alcotest prop_mutated_containers;
       ] );
     ( "trace_store.wiring",
       [
